@@ -24,7 +24,7 @@ import math
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
-from typing import NamedTuple, Sequence
+from typing import Iterator, NamedTuple, Sequence
 
 import numpy as np
 
@@ -37,11 +37,13 @@ from .errors import (
 from .link import DecodeBudget, LinkModel
 
 _SUM_TOL = 1e-9
+_EXACT_INT_LIMIT = 2**53
 
 
 def _require_analytic(config: SystemConfig) -> None:
-    """The counting model is specific to two copies and needs room for every
-    event class to have a nonnegative count."""
+    """The counting model is specific to two copies, needs room for every
+    event class to have a nonnegative count, and keeps every count and the
+    denominator A*B exact in a float."""
     if config.copies != 2:
         raise ConfigError(
             f"interference model is defined for 2 copies per packet, got {config.copies}"
@@ -50,6 +52,12 @@ def _require_analytic(config: SystemConfig) -> None:
         raise ConfigError(
             f"frame_len ({config.frame_len}) must be >= 5*burst_len - 2 "
             f"({5 * config.burst_len - 2}) for the interference model"
+        )
+    a, b = _event_space(config)
+    if a * b >= _EXACT_INT_LIMIT:
+        raise ConfigError(
+            f"frame_len ({config.frame_len}) gives {a * b} placements, beyond "
+            f"the 2**53 the interference model counts exactly"
         )
 
 
@@ -60,26 +68,23 @@ def _event_space(config: SystemConfig) -> tuple[int, int]:
 
 
 @lru_cache(maxsize=128)
-def _numerators_by_first_event(
-    frame_len: int, burst_len: int
-) -> tuple[tuple[int, ...], tuple[int, ...], tuple[int, ...], tuple[int, ...]]:
+def _numerators_by_first_event(frame_len: int, burst_len: int) -> np.ndarray:
     """Integer counts over the denominator A*B, split by first-copy event.
 
-    Returns (full, partial, distant, near_miss), each a tuple of length
-    burst_len + 1 indexed by the total overlap both copies together put on
-    the tagged copy. The elementwise sum across groups is the single
-    disturber pmf numerator; each group's own total matches the closed-form
-    first-copy event probabilities.
+    Returns a read-only int64 array of shape (4, burst_len + 1) whose rows
+    are the full, partial, distant and near-miss groups, indexed by the
+    total overlap both copies together put on the tagged copy. The column
+    sum is the single disturber pmf numerator; each row's own total matches
+    the closed-form first-copy event probabilities.
     """
     tau = burst_len
     a = frame_len - tau + 1
     b = a - (2 * tau - 1)
     c = a - (4 * tau - 1)  # placements clear of the tagged copy by >= one burst
+    x = np.arange(1, tau, dtype=np.int64)
 
-    n_full = [0] * (tau + 1)
-    n_partial = [0] * (tau + 1)
-    n_distant = [0] * (tau + 1)
-    n_near = [0] * (tau + 1)
+    counts = np.zeros((4, tau + 1), dtype=np.int64)
+    n_full, n_partial, n_distant, n_near = counts
 
     # Total overlap tau: first copy exactly on top (second then cannot touch),
     # first copy clear with the second exactly on top, or two partial
@@ -89,37 +94,60 @@ def _numerators_by_first_event(
     n_near[tau] = 2 * tau
     n_partial[tau] = 2 * (tau - 1)
 
-    for x in range(1, tau):
-        # first copy overlaps by x and the second stays clear
-        n_partial[x] += 2 * (b - (tau - x))
-        # both copies overlap partially, summing to x
-        n_partial[x] += 2 * (x - 1)
-        # first copy distant, second overlaps by x: 2c placements
-        n_distant[x] += 2 * c
-        # first copy a near miss, second overlaps by x: of the 2x closer
-        # offsets both sides of the tagged copy stay open, of the remaining
-        # 2(tau - x) only one side does
-        n_near[x] += 4 * x + 2 * (tau - x)
+    # Total overlap x in 1..tau-1. Partial: the first copy overlaps by x and
+    # the second stays clear, 2(b - (tau - x)), or both copies overlap
+    # partially and sum to x, 2(x - 1). Distant: the second copy overlaps by
+    # x, 2c placements. Near miss: the second copy overlaps by x; of the 2x
+    # closer offsets both sides of the tagged copy stay open, of the
+    # remaining 2(tau - x) only one side does, 4x + 2(tau - x) in all. The
+    # column sum is c0 + 6x with c0 = 2b + 2c - 2.
+    n_partial[1:tau] = 4 * x + 2 * (b - tau - 1)
+    n_distant[1:tau] = 2 * c
+    n_near[1:tau] = 2 * tau + 2 * x
 
-    # Total overlap zero: both copies clear.
+    # Total overlap zero: both copies clear; a near miss at offset z < tau
+    # leaves 2(a - (3 tau + z - 1)) places for the second copy.
     n_distant[0] = c * (a - 2 * (2 * tau - 1))
-    n_near[0] = sum(2 * (a - (3 * tau + z - 1)) for z in range(tau))
+    n_near[0] = 2 * tau * (a - 3 * tau + 1) - tau * (tau - 1)
 
-    total = sum(n_full) + sum(n_partial) + sum(n_distant) + sum(n_near)
+    total = int(counts.sum())
     if total != a * b:
         raise AssertionError(
             f"event counts cover {total} placements, expected {a * b}"
         )
-    return tuple(n_full), tuple(n_partial), tuple(n_distant), tuple(n_near)
+    counts.setflags(write=False)
+    return counts
+
+
+class _FoldKernel(NamedTuple):
+    """Single-disturber pmf numerators over ``den`` = A*B: ``n0`` at overlap
+    0, ``c0 + 6x`` at x = 1..tau-1 and ``n_tau`` at tau."""
+
+    n0: int
+    c0: int
+    n_tau: int
+    den: int
+
+
+@lru_cache(maxsize=128)
+def _fold_kernel(frame_len: int, burst_len: int) -> _FoldKernel:
+    """The kernel read off the count table, whose total is A*B."""
+    tau = burst_len
+    counts = _numerators_by_first_event(frame_len, burst_len)
+    numerators = counts.sum(axis=0)
+    c0 = int(numerators[1]) - 6 if tau > 1 else 0
+    if not np.array_equal(numerators[1:tau], c0 + 6 * np.arange(1, tau)):
+        raise AssertionError("interior pmf numerators are not c0 + 6x")
+    return _FoldKernel(
+        int(numerators[0]), c0, int(numerators[tau]), int(counts.sum())
+    )
 
 
 @lru_cache(maxsize=128)
 def _single_dp_probs(frame_len: int, burst_len: int) -> np.ndarray:
-    groups = _numerators_by_first_event(frame_len, burst_len)
-    a = frame_len - burst_len + 1
-    den = a * (a - (2 * burst_len - 1))
-    # per-entry Python int division: correctly rounded, no accumulation
-    probs = np.array([sum(cell) / den for cell in zip(*groups)], dtype=float)
+    counts = _numerators_by_first_event(frame_len, burst_len)
+    # exact integers over an exact den (both < 2**53): correctly rounded
+    probs = counts.sum(axis=0) / _fold_kernel(frame_len, burst_len).den
     probs.setflags(write=False)
     return probs
 
@@ -221,10 +249,9 @@ def pmf_mass_by_first_event(config: SystemConfig) -> EventSplit:
     lands somewhere admissible, so no mass leaks between groups.
     """
     _require_analytic(config)
-    groups = _numerators_by_first_event(config.frame_len, config.burst_len)
-    a, b = _event_space(config)
-    den = a * b
-    return EventSplit(*(sum(g) / den for g in groups))
+    counts = _numerators_by_first_event(config.frame_len, config.burst_len)
+    den = _fold_kernel(config.frame_len, config.burst_len).den
+    return EventSplit(*(int(group.sum()) / den for group in counts))
 
 
 class FullOverlapBreakdown(NamedTuple):
@@ -260,7 +287,8 @@ def _conv_prefix(a: np.ndarray, b: np.ndarray, out_len: int) -> np.ndarray:
     ``a``, numpy pairwise reduction over the window), so a truncated run
     reproduces the matching prefix of an untruncated run bit for bit.
     np.convolve is no use here: it swaps operands by length, which changes
-    the float summation order.
+    the float summation order. One Python step per output index makes this
+    the general ``convolve`` path only; the disturber fold uses _fold_step.
     """
     la = a.shape[0]
     lb = b.shape[0]
@@ -306,24 +334,100 @@ def convolve(
     )
 
 
+def _fold_step(
+    acc: np.ndarray, kernel: _FoldKernel, tau: int, out_len: int
+) -> np.ndarray:
+    """First ``out_len`` entries of ``acc`` convolved with the single-disturber
+    pmf, in O(out_len + tau).
+
+    out[k] = (n0 acc[k] + n_tau acc[k-tau] + c0 W0[k] + 6 R[k]) / den, with
+    W0[k] = sum acc[k-x] and R[k] = sum x acc[k-x] over x = 1..tau-1. Both
+    window sums come from cumsums inside blocks of width w = tau - 1
+    aligned at index 0 (van Herk / Gil-Werman): a window is a suffix of one
+    block plus a prefix of the next. Every term is nonnegative and nothing
+    is subtracted, so tails far below the head keep their relative
+    accuracy; each entry reads only acc[k-tau..k] in a fixed order, so a
+    truncated fold is a bitwise prefix of the full one. The numerator is
+    built in count space and divided once, so folding into the delta
+    reproduces the single-disturber pmf exactly.
+    """
+    n0, c0, n_tau, den = kernel
+    m = acc.shape[0]
+    num = np.zeros(out_len)
+    num[:m] = n0 * acc
+    if out_len > tau:
+        num[tau:] += n_tau * acc[: out_len - tau]
+    w = tau - 1
+    if w:
+        # Row q holds acc[qw .. qw+w-1] behind a zero column. With
+        # B = k // w and j = k % w, window k is row B up to column j
+        # (x runs j + 1 - column) and, for B >= 1, row B - 1 from column
+        # j + 1 on (x runs w + 1 - column + j).
+        rows = (out_len - 1) // w + 1
+        flat = np.zeros(rows * w)
+        flat[:m] = acc
+        blocks = np.zeros((rows, w + 1))
+        blocks[:, 1:] = flat.reshape(rows, w)
+        pre = np.cumsum(blocks, axis=1)  # columns <= c
+        pre_x = np.cumsum(pre, axis=1)  # columns <= c, times c + 1 - column
+        head = blocks[:-1, ::-1]  # reversed, so column w - h is at h
+        suf = np.cumsum(head, axis=1)[:, -2::-1]  # columns > c
+        # columns > c, times w + 1 - column
+        suf_x = np.cumsum(head * np.arange(1, w + 2), axis=1)[:, -2::-1]
+        w0 = pre[:, :w].copy()
+        w0[1:] += suf
+        r = pre_x[:, :w].copy()
+        r[1:] += suf_x + np.arange(w) * suf
+        num += (c0 * w0 + 6 * r).ravel()[:out_len]
+    return num / den
+
+
+def _fold(
+    config: SystemConfig, n_dp: int, trunc_len: int | None
+) -> Iterator[np.ndarray]:
+    """The disturber fold: yields the probs for 1..n_dp disturbers, each
+    truncated at ``trunc_len`` when it is set."""
+    _require_analytic(config)
+    tau = config.burst_len
+    kernel = _fold_kernel(config.frame_len, tau)
+    acc = np.ones(1)
+    for n in range(1, n_dp + 1):
+        limit = n * tau if trunc_len is None else min(n * tau, trunc_len)
+        acc = _fold_step(acc, kernel, tau, limit + 1)
+        yield acc
+
+
+def _folded_pmf(
+    config: SystemConfig, n_dp: int, probs: np.ndarray
+) -> InterferencePmf:
+    full_support = n_dp * config.burst_len
+    limit = probs.shape[0] - 1
+    return InterferencePmf(
+        config, n_dp, probs, None if limit == full_support else limit
+    )
+
+
 def interference_distribution(
     config: SystemConfig, n_dp: int, trunc_len: int | None = None
 ) -> InterferencePmf:
     """Overlap pmf from ``n_dp`` independent disturbers.
 
-    Left fold of the single-disturber pmf; with ``trunc_len`` set, every
-    intermediate is truncated as well, keeping the fold linear in the cap
-    instead of quadratic in n_dp * burst_len.
+    Left fold of the single-disturber pmf, the same fold analytic_curve
+    runs, at O(support) per disturber: the kernel is affine in the overlap,
+    so each step needs only two sliding window sums. With ``trunc_len`` set,
+    every intermediate is truncated as well, so the cost per disturber is
+    O(trunc_len) however large n_dp * burst_len grows; every retained entry
+    equals its untruncated value bit for bit.
     """
     if n_dp < 0:
         raise InvalidParameterError(f"n_dp must be >= 0, got {n_dp}")
-    acc = delta_pmf(config)
+    if trunc_len is not None and trunc_len < 0:
+        raise InvalidParameterError(f"trunc_len must be >= 0, got {trunc_len}")
     if n_dp == 0:
-        return acc
-    single = single_dp_pmf(config)
-    for _ in range(n_dp):
-        acc = convolve(acc, single, trunc_len)
-    return acc
+        return delta_pmf(config)
+    for probs in _fold(config, n_dp, trunc_len):
+        pass
+    return _folded_pmf(config, n_dp, probs)
 
 
 def p_copy_decoded(pmf: InterferencePmf, budget: DecodeBudget) -> float:
@@ -357,8 +461,8 @@ def n_tx_for_load(config: SystemConfig, load: float) -> int:
     Ties round half away from zero so the analytic and simulated paths agree
     on the same packet count at every grid value.
     """
-    if load < 0.0:
-        raise InvalidParameterError(f"load must be >= 0, got {load}")
+    if not (math.isfinite(load) and load >= 0.0):
+        raise InvalidParameterError(f"load must be finite and >= 0, got {load}")
     return int(math.floor(load * config.frame_len / config.burst_len + 0.5))
 
 
@@ -379,10 +483,12 @@ def analytic_curve(
     """Packet loss ratio and throughput at each load.
 
     The disturber pmf is folded once up to the largest needed count and
-    sampled along the way, which reproduces the per-load fold exactly.
-    Intermediates are truncated at the decode budget: the loss probability
-    only ever reads the cdf up to it. An empty frame loses nothing, so
-    n_tx = 0 reports plr 0 (and p_ccd 1 to keep the packet identity).
+    sampled along the way, by the same fold as interference_distribution,
+    so every point equals the per-load fold exactly. Intermediates are
+    truncated at the decode budget, which the loss probability only ever
+    reads the cdf up to, so each disturber costs O(budget). An empty frame
+    loses nothing, so n_tx = 0 reports plr 0 (and p_ccd 1 to keep the
+    packet identity).
     """
     _require_analytic(config)
     n_by_load = [n_tx_for_load(config, g) for g in loads]
@@ -397,17 +503,11 @@ def analytic_curve(
         ]
 
     needed = {n - 1 for n in n_by_load if n >= 1}
-    p_ccd_at: dict[int, float] = {}
-    if needed:
-        x_dec = budget.max_interference
-        acc = delta_pmf(config)
-        if 0 in needed:
-            p_ccd_at[0] = p_copy_decoded(acc, budget)
-        single = single_dp_pmf(config)
-        for n_dp in range(1, max(needed) + 1):
-            acc = convolve(acc, single, x_dec)
-            if n_dp in needed:
-                p_ccd_at[n_dp] = p_copy_decoded(acc, budget)
+    p_ccd_at = {0: p_copy_decoded(delta_pmf(config), budget)}
+    fold = _fold(config, max(needed, default=0), budget.max_interference)
+    for n_dp, probs in enumerate(fold, start=1):
+        if n_dp in needed:
+            p_ccd_at[n_dp] = p_copy_decoded(_folded_pmf(config, n_dp, probs), budget)
 
     points = []
     for g, n in zip(loads, n_by_load):

@@ -140,7 +140,10 @@ def _duration_to_symbols(text: str, ts_us: float, flag: str) -> int:
 def _parse_loads(value) -> tuple[float, ...]:
     """Comma list, single value, or start:stop:step grid (stop inclusive)."""
     if isinstance(value, (list, tuple)):
-        items = [float(v) for v in value]
+        try:
+            items = [float(v) for v in value]
+        except (TypeError, ValueError):
+            raise UsageError(f"cannot parse loads {value!r}") from None
     else:
         text = str(value)
         if ":" in text:
@@ -151,6 +154,8 @@ def _parse_loads(value) -> tuple[float, ...]:
                 start, stop, step = (float(p) for p in parts)
             except ValueError:
                 raise UsageError(f"cannot parse load grid {text!r}") from None
+            if not all(math.isfinite(v) for v in (start, stop, step)):
+                raise UsageError(f"load grid {text!r} must be finite")
             if step <= 0:
                 raise UsageError(f"load grid step must be > 0, got {step}")
             count = int(math.floor((stop - start) / step + 1e-9)) + 1
@@ -166,6 +171,8 @@ def _parse_loads(value) -> tuple[float, ...]:
     if not items:
         raise UsageError("loads must not be empty")
     for g in items:
+        if not math.isfinite(g):
+            raise UsageError(f"loads must be finite, got {g}")
         if g < 0:
             raise UsageError(f"loads must be >= 0, got {g}")
     return tuple(items)

@@ -68,6 +68,26 @@ class TestSingleDpPmf:
             pmf.probs, [float(f) for f in ORACLE_PMF_10_1], rtol=0, atol=1e-15
         )
 
+    @settings(deadline=None, max_examples=60)
+    @given(config=analytic_configs(max_burst=200))
+    def test_matches_per_overlap_count_loop_bitwise(self, config):
+        # reference: the counts summed by hand per overlap value, then one
+        # Python int division per entry (correctly rounded)
+        tau = config.burst_len
+        a = config.frame_len - tau + 1
+        b = a - (2 * tau - 1)
+        c = a - (4 * tau - 1)
+        counts = [0] * (tau + 1)
+        counts[0] = c * (a - 2 * (2 * tau - 1)) + sum(
+            2 * (a - (3 * tau + z - 1)) for z in range(tau)
+        )
+        for x in range(1, tau):
+            partial = 2 * (b - (tau - x)) + 2 * (x - 1)
+            counts[x] = partial + 2 * c + 4 * x + 2 * (tau - x)
+        counts[tau] = b + c + 2 * tau + 2 * (tau - 1)
+        want = np.array([n / (a * b) for n in counts])
+        assert np.array_equal(single_dp_pmf(config).probs, want)
+
     def test_support_length(self):
         pmf = single_dp_pmf(geometry(1000, 17))
         assert pmf.probs.shape == (18,)
@@ -93,6 +113,12 @@ class TestSingleDpPmf:
             single_dp_pmf(SystemConfig(frame_len=1000, burst_len=10, copies=3))
         with pytest.raises(ConfigError):
             single_dp_pmf(SystemConfig(frame_len=1000, burst_len=10, copies=1))
+
+    def test_event_space_beyond_exact_floats_rejected(self):
+        # A*B >= 2**53: counts and denominator would no longer be exact
+        with pytest.raises(ConfigError):
+            single_dp_pmf(geometry(10**8, 10))
+        single_dp_pmf(geometry(9 * 10**7, 10))
 
     def test_cached_array_is_read_only(self):
         pmf = single_dp_pmf(geometry(500, 5))
@@ -195,17 +221,19 @@ class TestConvolve:
         assert out.truncated_at is None
         assert out.probs.shape == (7,)
 
-    @settings(deadline=None, max_examples=40)
+    @settings(deadline=None, max_examples=60)
     @given(
-        config=analytic_configs(max_burst=12, max_ratio=12),
+        config=analytic_configs(),
         n_dp=st.integers(1, 6),
-        trunc=st.integers(0, 30),
+        trunc_frac=st.floats(0.0, 1.1),
     )
-    def test_truncated_fold_is_bitwise_prefix_of_full(self, config, n_dp, trunc):
+    def test_truncated_fold_is_bitwise_prefix_of_full(self, config, n_dp, trunc_frac):
         full = interference_distribution(config, n_dp)
+        trunc = int(trunc_frac * n_dp * config.burst_len)
         truncated = interference_distribution(config, n_dp, trunc_len=trunc)
         keep = min(trunc, n_dp * config.burst_len) + 1
         assert truncated.probs.shape == (keep,)
+        assert np.all(full.probs >= 0.0)
         assert np.array_equal(truncated.probs, full.probs[:keep])
 
     def test_independent_reference_convolution(self):
@@ -221,6 +249,58 @@ class TestConvolve:
                     nxt[i + j] += av * bv
             ref = nxt
         np.testing.assert_allclose(out.probs, ref, rtol=1e-12, atol=1e-300)
+
+
+def _tau_grid():
+    # the acceptance suite's pmf normalization grid
+    for tau in (1, 2, 5, 10, 100, 1000):
+        for frame in (5 * tau - 2, 10 * tau, 20 * tau, 100 * tau):
+            yield geometry(frame, tau)
+
+
+class TestFold:
+    """The O(support) disturber fold against repeated convolve."""
+
+    @pytest.mark.parametrize(
+        "config", list(_tau_grid()), ids=lambda c: f"{c.frame_len}/{c.burst_len}"
+    )
+    def test_matches_convolve_oracle(self, config):
+        single = single_dp_pmf(config)
+        oracle = delta_pmf(config)
+        for n_dp in range(1, 41):
+            oracle = convolve(oracle, single)
+            if n_dp not in (2, 5, 40):
+                continue
+            got = interference_distribution(config, n_dp)
+            assert got.truncated_at is None
+            assert np.all(got.probs >= 0.0)
+            want = oracle.probs
+            seen = want > 1e-300
+            rel = np.abs(got.probs[seen] - want[seen]) / want[seen]
+            assert float(np.max(rel)) <= 1e-12
+
+    @settings(deadline=None, max_examples=60)
+    @given(config=analytic_configs())
+    def test_first_step_is_the_single_pmf_bitwise(self, config):
+        got = interference_distribution(config, 1)
+        assert np.array_equal(got.probs, single_dp_pmf(config).probs)
+
+    def test_budget_past_one_burst(self):
+        # budget 231 >= tau = 100: windows start past index 0 and span
+        # several blocks of the fold
+        config = geometry(10000, 100)
+        link = LinkModel.from_parameters(4, 0.25, 10.0, 100)
+        budget = link.budget
+        assert budget.max_interference == 231
+        loads = [0.2, 0.7, 1.3, 2.0]
+        single = single_dp_pmf(config)
+        acc = delta_pmf(config)
+        p_ccd_at = [p_copy_decoded(acc, budget)]
+        for _ in range(max(n_tx_for_load(config, g) for g in loads)):
+            acc = convolve(acc, single, budget.max_interference)
+            p_ccd_at.append(p_copy_decoded(acc, budget))
+        for pt in analytic_curve(config, link, loads):
+            assert abs(pt.p_ccd - p_ccd_at[pt.n_tx - 1]) <= 1e-13
 
 
 class TestInterferenceDistribution:
@@ -298,6 +378,11 @@ class TestLoadMapping:
     def test_negative_rejected(self):
         with pytest.raises(InvalidParameterError):
             n_tx_for_load(geometry(10, 1), -0.1)
+
+    @pytest.mark.parametrize("load", [math.nan, math.inf, -math.inf])
+    def test_non_finite_rejected(self, load):
+        with pytest.raises(InvalidParameterError):
+            n_tx_for_load(geometry(10000, 100), load)
 
 
 class TestAnalyticCurve:

@@ -319,6 +319,23 @@ class TestMain:
     def test_unknown_flag_exit(self, capsys):
         assert main(["analytic", "--wat", "1"]) == EXIT_USAGE
 
+    @pytest.mark.parametrize(
+        "loads", ["nan", "inf", "-inf", "0.5,nan", "0:inf:0.1", "nan:1:0.1", "1e400"]
+    )
+    def test_non_finite_loads_exit_usage(self, loads, capsys):
+        code = main(["analytic", "--tf", "10000", "--tau", "100", f"--loads={loads}"])
+        assert code == EXIT_USAGE
+        err = capsys.readouterr().err
+        assert err.startswith("divaloha: ") and err.count("\n") == 1
+
+    @pytest.mark.parametrize("entry", ["NaN", "Infinity", "-Infinity", '"nan"', "null"])
+    def test_config_file_bad_load_entry_exits_usage(self, entry, tmp_path, capsys):
+        cfg = tmp_path / "run.json"
+        cfg.write_text(f'{{"tf": 10000, "tau": 100, "loads": [0.5, {entry}]}}')
+        assert main(["analytic", "--config", str(cfg)]) == EXIT_USAGE
+        err = capsys.readouterr().err
+        assert err.startswith("divaloha: ") and err.count("\n") == 1
+
     def test_out_dir_env_var(self, tmp_path, monkeypatch, capsys):
         monkeypatch.setenv(OUT_DIR_ENV, str(tmp_path))
         code = main(
