@@ -25,9 +25,10 @@ class SystemConfig:
             raise ConfigError(f"burst_len must be >= 1, got {self.burst_len}")
         if self.copies < 1:
             raise ConfigError(f"copies must be >= 1, got {self.copies}")
-        if self.frame_len < self.burst_len:
+        if self.frame_len < self.copies * self.burst_len:
             raise ConfigError(
-                f"frame_len ({self.frame_len}) must be >= burst_len ({self.burst_len})"
+                f"{self.copies} copies of {self.burst_len} symbols cannot fit "
+                f"in a {self.frame_len}-symbol frame"
             )
         if not self.symbol_time > 0:
             raise ConfigError(f"symbol_time must be > 0, got {self.symbol_time}")

@@ -18,8 +18,5 @@ class InsufficientSupportError(DivalohaError):
 
 
 class PlacementImpossibleError(DivalohaError):
-    """The requested copies cannot fit in the frame even in principle."""
+    """A packet's earlier copies leave a later copy no admissible start."""
 
-
-class RejectionLimitError(DivalohaError):
-    """Copy placement gave up after too many rejected candidate positions."""

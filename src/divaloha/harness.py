@@ -27,7 +27,12 @@ import numpy as np
 from . import __version__
 from .analytic import analytic_curve
 from .config import SystemConfig
-from .errors import ConfigError, DivalohaError, InvalidParameterError
+from .errors import (
+    ConfigError,
+    DivalohaError,
+    InvalidParameterError,
+    PlacementImpossibleError,
+)
 from .link import LinkModel
 from .simulator import RNG_ALGORITHM, RNG_STREAM_RULE, sweep
 
@@ -108,8 +113,8 @@ def _parse_ts(text: str) -> float:
         value = float(raw)
     except ValueError:
         raise UsageError(f"cannot parse symbol time {text!r}") from None
-    if not value > 0:
-        raise UsageError(f"symbol time must be > 0, got {text!r}")
+    if not 0 < value < math.inf:
+        raise UsageError(f"symbol time must be finite and > 0, got {text!r}")
     return value
 
 
@@ -127,6 +132,8 @@ def _duration_to_symbols(text: str, ts_us: float, flag: str) -> int:
             value = float(text)
         except ValueError:
             raise UsageError(f"cannot parse {flag} value {text!r}") from None
+    if not math.isfinite(value):
+        raise UsageError(f"{flag} must be finite, got {text!r}")
     rounded = round(value)
     if abs(value - rounded) > 1e-9 * max(1.0, abs(value)):
         raise UsageError(
@@ -291,29 +298,25 @@ def parse_spec(argv) -> RunSpec:
         raise UsageError("--tau is required")
     burst_len = _duration_to_symbols(str(tau_raw), ts_us, "--tau")
 
-    tf_raw = pick("tf")
-    if tf_raw is None and mode != "threshold":
-        raise UsageError(f"--tf is required for {mode}")
-    frame_len = (
-        None if tf_raw is None else _duration_to_symbols(str(tf_raw), ts_us, "--tf")
-    )
+    # threshold reports the link alone, so it reads neither frame nor loads
+    if mode == "threshold":
+        frame_len, loads = None, ()
+    else:
+        tf_raw = pick("tf")
+        if tf_raw is None:
+            raise UsageError(f"--tf is required for {mode}")
+        frame_len = _duration_to_symbols(str(tf_raw), ts_us, "--tf")
+        loads_raw = pick("loads")
+        if loads_raw is None:
+            raise UsageError(f"--loads is required for {mode}")
+        loads = _parse_loads(loads_raw)
 
     copies = _parse_int(pick("copies"), "--copies", 1)
     modulation_order = _parse_int(pick("mod"), "--mod", 2)
     code_rate = _parse_float(pick("rate"), "--rate")
-    if not 0.0 < code_rate <= 1.0:
-        raise UsageError(f"--rate must be in (0, 1], got {code_rate}")
     snr_db = _parse_float(pick("snr_db"), "--snr-db")
     snir_raw = pick("snir_dec_db")
     snir_dec_db = None if snir_raw is None else _parse_float(snir_raw, "--snir-dec-db")
-
-    loads_raw = pick("loads")
-    if mode == "threshold":
-        loads = ()
-    else:
-        if loads_raw is None:
-            raise UsageError(f"--loads is required for {mode}")
-        loads = _parse_loads(loads_raw)
 
     rounds = _parse_int(pick("rounds"), "--rounds", 1)
     seed = _parse_int(pick("seed"), "--seed", 0)
@@ -326,23 +329,6 @@ def parse_spec(argv) -> RunSpec:
     if out_format not in ("csv", "json"):
         raise UsageError(f"--format must be csv or json, got {out_format!r}")
     out_path = pick("out")
-
-    if frame_len is not None:
-        if copies * burst_len > frame_len:
-            raise UsageError(
-                f"{copies} copies of {burst_len} symbols cannot fit in a "
-                f"{frame_len}-symbol frame"
-            )
-        if mode in ("analytic", "compare"):
-            if copies != 2:
-                raise UsageError(
-                    f"the analytic model needs --copies 2, got {copies}"
-                )
-            if frame_len < 5 * burst_len - 2:
-                raise UsageError(
-                    f"the analytic model needs --tf >= 5*tau - 2 "
-                    f"({5 * burst_len - 2}), got {frame_len}"
-                )
 
     return RunSpec(
         mode=mode,
@@ -362,32 +348,6 @@ def parse_spec(argv) -> RunSpec:
         out_format=out_format,
         out_path=out_path,
     )
-
-
-def spec_to_argv(spec: RunSpec) -> list[str]:
-    """Inverse of parse_spec: parse_spec(spec_to_argv(s)) == s."""
-    argv = [spec.mode]
-    if spec.frame_len is not None:
-        argv += ["--tf", str(spec.frame_len)]
-    argv += ["--tau", str(spec.burst_len)]
-    argv += ["--ts", repr(spec.symbol_time_us)]
-    argv += ["--copies", str(spec.copies)]
-    argv += ["--mod", str(spec.modulation_order)]
-    argv += ["--rate", repr(spec.code_rate)]
-    argv += ["--snr-db", repr(spec.snr_db)]
-    if spec.snir_dec_db is not None:
-        argv += ["--snir-dec-db", repr(spec.snir_dec_db)]
-    if spec.mode != "threshold":
-        argv += ["--loads", ",".join(repr(g) for g in spec.loads)]
-    argv += ["--rounds", str(spec.rounds)]
-    argv += ["--seed", str(spec.seed)]
-    argv += ["--workers", str(spec.workers)]
-    if spec.policy is not None:
-        argv += ["--policy", spec.policy]
-    argv += ["--format", spec.out_format]
-    if spec.out_path is not None:
-        argv += ["--out", spec.out_path]
-    return argv
 
 
 def resolve_policy(spec: RunSpec) -> str:
@@ -547,21 +507,18 @@ def run(spec: RunSpec) -> int:
 
 def main(argv=None) -> int:
     try:
-        spec = parse_spec(argv)
-    except UsageError as exc:
-        print(f"divaloha: {exc}", file=sys.stderr)
-        return EXIT_USAGE
+        return run(parse_spec(argv))
     except SystemExit as exc:
         return exc.code if isinstance(exc.code, int) else EXIT_USAGE
-    try:
-        return run(spec)
-    except (ConfigError, InvalidParameterError, UsageError) as exc:
+    except (
+        ConfigError,
+        InvalidParameterError,
+        PlacementImpossibleError,
+        UsageError,
+    ) as exc:
         print(f"divaloha: {exc}", file=sys.stderr)
         return EXIT_USAGE
-    except DivalohaError as exc:
-        print(f"divaloha: {exc}", file=sys.stderr)
-        return EXIT_RUNTIME
-    except OSError as exc:
+    except (DivalohaError, OSError) as exc:
         print(f"divaloha: {exc}", file=sys.stderr)
         return EXIT_RUNTIME
 

@@ -34,7 +34,10 @@ def snir_threshold(rate: float) -> tuple[float, float]:
     """
     if not rate > 0.0:
         raise InvalidParameterError(f"rate must be > 0, got {rate}")
-    linear = 2.0**rate - 1.0
+    try:
+        linear = 2.0**rate - 1.0
+    except OverflowError:
+        raise InvalidParameterError(f"rate {rate} is beyond the float range") from None
     return linear, 10.0 * math.log10(linear)
 
 
@@ -88,11 +91,13 @@ def interference_budget(
     """
     if burst_len < 1:
         raise InvalidParameterError(f"burst_len must be >= 1, got {burst_len}")
-    if not snr_linear > 0.0:
-        raise InvalidParameterError(f"snr_linear must be > 0, got {snr_linear}")
-    if not snir_dec_linear > 0.0:
+    if not 0.0 < snr_linear < math.inf:
         raise InvalidParameterError(
-            f"snir_dec_linear must be > 0, got {snir_dec_linear}"
+            f"snr_linear must be finite and > 0, got {snr_linear}"
+        )
+    if not 0.0 < snir_dec_linear < math.inf:
+        raise InvalidParameterError(
+            f"snir_dec_linear must be finite and > 0, got {snir_dec_linear}"
         )
     if snr_linear < snir_dec_linear:
         return DecodeBudget(None)
@@ -100,6 +105,14 @@ def interference_budget(
         1 / Fraction(snir_dec_linear) - 1 / Fraction(snr_linear)
     )
     return DecodeBudget(math.floor(bound))
+
+
+def _db_to_linear(db: float) -> float:
+    """10**(db/10), with inf past the float range for the budget to reject."""
+    try:
+        return 10.0 ** (db / 10.0)
+    except OverflowError:
+        return math.inf
 
 
 @dataclass(frozen=True)
@@ -135,8 +148,8 @@ class LinkModel:
         if snir_dec_db is None:
             snir_dec_linear, _ = snir_threshold(rate)
         else:
-            snir_dec_linear = 10.0 ** (snir_dec_db / 10.0)
-        snr_linear = 10.0 ** (snr_db / 10.0)
+            snir_dec_linear = _db_to_linear(snir_dec_db)
+        snr_linear = _db_to_linear(snr_db)
         budget = interference_budget(burst_len, snr_linear, snir_dec_linear)
         return cls(
             modulation_order=modulation_order,

@@ -13,21 +13,18 @@ import numpy as np
 
 from .analytic import n_tx_for_load
 from .config import SystemConfig
-from .errors import (
-    InvalidParameterError,
-    PlacementImpossibleError,
-    RejectionLimitError,
-)
+from .errors import InvalidParameterError, PlacementImpossibleError
 from .link import DecodeBudget, LinkModel
 
 RNG_ALGORITHM = "philox4x64"
 RNG_STREAM_RULE = (
-    "frame key = (point_seed << 64) | frame_index; "
-    "point_seed = first uint64 of SeedSequence([master_seed, point_index])"
+    "v2: frame key = (point_seed << 64) | frame_index; "
+    "point_seed = first uint64 of SeedSequence([master_seed, point_index]); "
+    "copy c >= 1 of every packet is one draw of its rank among the starts "
+    "that clear the packet's earlier copies"
 )
 
 _MASK64 = (1 << 64) - 1
-_REJECTION_CAP = 10**6
 
 
 def frame_rng(seed: int, frame_index: int) -> np.random.Generator:
@@ -62,54 +59,49 @@ class Frame:
 def draw_frame(rng: np.random.Generator, n_tx: int, config: SystemConfig) -> Frame:
     """Place n_tx packets, each as ``config.copies`` non-overlapping bursts.
 
-    First copy uniform over the admissible starts; later copies are redrawn
-    until they clear every earlier copy of the same packet. Tight geometries
-    can make that unconditionally impossible (raised up front) or merely
-    hopeless for some first-copy draws (raised at the retry cap).
+    Every copy is uniform over the starts left admissible by the packet's
+    earlier copies, frame edges included. A later copy draws its rank among
+    those starts and steps over the blocked runs below it, so no draw is
+    ever rejected; a first copy that leaves a later one no room at all
+    raises PlacementImpossibleError.
     """
     if n_tx < 0:
         raise InvalidParameterError(f"n_tx must be >= 0, got {n_tx}")
     tau = config.burst_len
-    if config.copies * tau > config.frame_len:
-        raise PlacementImpossibleError(
-            f"{config.copies} copies of {tau} symbols cannot fit in a "
-            f"{config.frame_len}-symbol frame"
-        )
     starts = np.empty((n_tx, config.copies), dtype=np.int64)
     if n_tx == 0:
         return Frame(starts)
     positions = config.start_positions
     starts[:, 0] = rng.integers(0, positions, size=n_tx)
     for c in range(1, config.copies):
-        col = rng.integers(0, positions, size=n_tx)
-        clash = np.abs(col[:, None] - starts[:, :c]).min(axis=1) < tau
-        active = np.flatnonzero(clash)
-        tries = 1
-        while active.size:
-            tries += 1
-            if tries > _REJECTION_CAP:
-                raise RejectionLimitError(
-                    f"copy {c} still blocked for {active.size} packets after "
-                    f"{_REJECTION_CAP} redraws"
-                )
-            col[active] = rng.integers(0, positions, size=active.size)
-            still = np.abs(col[active, None] - starts[active, :c]).min(axis=1) < tau
-            active = active[still]
-        starts[:, c] = col
+        # starts blocked by each earlier copy, as disjoint ascending runs
+        prev = np.sort(starts[:, :c], axis=1)
+        lo = np.maximum(prev - tau + 1, 0)
+        hi = np.minimum(prev + tau, positions)
+        lo[:, 1:] = np.maximum(lo[:, 1:], hi[:, :-1])
+        width = hi - lo
+        free = positions - width.sum(axis=1)
+        if not free.all():
+            raise PlacementImpossibleError(
+                f"a packet's first {c} copies leave copy {c + 1} of "
+                f"{config.copies} no room: bursts of {tau} symbols in a "
+                f"{config.frame_len}-symbol frame"
+            )
+        # rank -> start: step over every blocked run at or below it
+        x = rng.integers(0, free)
+        for j in range(c):
+            x += width[:, j] * (x >= lo[:, j])
+        starts[:, c] = x
     return Frame(starts)
-
-
-def pairwise_overlap(start_a: int, start_b: int, burst_len: int) -> int:
-    """Overlap in symbols between two equal-length bursts."""
-    return max(0, burst_len - abs(start_a - start_b))
 
 
 def per_copy_interference(frame: Frame, config: SystemConfig) -> np.ndarray:
     """Aggregate overlap on each copy from all other packets' copies.
 
     Sorted sweep with prefix sums, O(B log B) in the copy count B. All
-    arithmetic is integer, so the result is exact; copies of the same packet
-    are excluded even in hand-built frames where they overlap.
+    arithmetic is integer, so the result is exact. The sweep counts every
+    other copy in the frame, so it needs the precondition draw_frame
+    guarantees: copies of the same packet never overlap.
     """
     tau = config.burst_len
     flat = frame.starts.reshape(-1)
@@ -130,17 +122,12 @@ def per_copy_interference(frame: Frame, config: SystemConfig) -> np.ndarray:
     total_sorted = cnt_lo * (tau - s) + sum_lo + cnt_hi * (tau + s) - sum_hi
     total = np.empty(n, dtype=np.int64)
     total[order] = total_sorted
-    per_copy = total.reshape(frame.starts.shape)
-    # the sweep counted same-packet copies too; take them back out
-    gap = np.abs(frame.starts[:, :, None] - frame.starts[:, None, :])
-    own = np.maximum(tau - gap, 0)
-    d = frame.copies
-    own[:, np.arange(d), np.arange(d)] = 0
-    return per_copy - own.sum(axis=2)
+    return total.reshape(frame.starts.shape)
 
 
 def per_copy_interference_brute(frame: Frame, config: SystemConfig) -> np.ndarray:
-    """All-pairs reference for the sweep, O(B^2). Kept public for tests."""
+    """All-pairs reference for the sweep, O(B^2), that excludes same-packet
+    copies whether or not they overlap. Kept public for tests."""
     tau = config.burst_len
     flat = frame.starts.reshape(-1)
     pkt = np.repeat(np.arange(frame.n_packets), frame.copies)

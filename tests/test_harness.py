@@ -1,15 +1,21 @@
 """CLI front-end checks: flag parsing, config-file precedence, emission
 formats, policies and exit codes."""
 
+import contextlib
+import io
 import json
 import os
+import time
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from divaloha.harness import (
     CSV_COLUMNS,
     EXIT_COMPARE_FAILED,
     EXIT_OK,
+    EXIT_RUNTIME,
     EXIT_USAGE,
     OUT_DIR_ENV,
     RunSpec,
@@ -20,12 +26,43 @@ from divaloha.harness import (
     render_csv,
     resolve_policy,
     row_passes,
-    spec_to_argv,
 )
 
 
 def spec_of(argv):
     return parse_spec(argv)
+
+
+def spec_to_argv(spec: RunSpec) -> list[str]:
+    """Inverse of parse_spec: parse_spec(spec_to_argv(s)) == s."""
+    argv = [spec.mode]
+    if spec.frame_len is not None:
+        argv += ["--tf", str(spec.frame_len)]
+    argv += ["--tau", str(spec.burst_len)]
+    argv += ["--ts", repr(spec.symbol_time_us)]
+    argv += ["--copies", str(spec.copies)]
+    argv += ["--mod", str(spec.modulation_order)]
+    argv += ["--rate", repr(spec.code_rate)]
+    argv += ["--snr-db", repr(spec.snr_db)]
+    if spec.snir_dec_db is not None:
+        argv += ["--snir-dec-db", repr(spec.snir_dec_db)]
+    if spec.mode != "threshold":
+        argv += ["--loads", ",".join(repr(g) for g in spec.loads)]
+    argv += ["--rounds", str(spec.rounds)]
+    argv += ["--seed", str(spec.seed)]
+    argv += ["--workers", str(spec.workers)]
+    if spec.policy is not None:
+        argv += ["--policy", spec.policy]
+    argv += ["--format", spec.out_format]
+    if spec.out_path is not None:
+        argv += ["--out", spec.out_path]
+    return argv
+
+
+def assert_one_line_usage_error(argv, capsys):
+    assert main(argv) == EXIT_USAGE
+    err = capsys.readouterr().err
+    assert err.startswith("divaloha: ") and err.count("\n") == 1
 
 
 class TestParseSpec:
@@ -108,21 +145,29 @@ class TestParseSpec:
         assert spec.frame_len is None
         assert spec.loads == ()
 
-    def test_analytic_rejects_three_copies(self):
-        with pytest.raises(UsageError):
-            spec_of(["analytic", "--tf", "10000", "--tau", "100", "--copies", "3", "--loads", "1"])
+    def test_analytic_rejects_three_copies(self, capsys):
+        assert_one_line_usage_error(
+            ["analytic", "--tf", "10000", "--tau", "100", "--copies", "3", "--loads", "1"],
+            capsys,
+        )
 
     def test_simulate_allows_three_copies(self):
         spec = spec_of(["simulate", "--tf", "10000", "--tau", "100", "--copies", "3", "--loads", "1"])
         assert spec.copies == 3
 
-    def test_analytic_rejects_short_frame(self):
-        with pytest.raises(UsageError):
-            spec_of(["analytic", "--tf", "400", "--tau", "100", "--loads", "1"])
+    def test_analytic_rejects_short_frame(self, capsys):
+        assert_one_line_usage_error(
+            ["analytic", "--tf", "400", "--tau", "100", "--loads", "1"], capsys
+        )
 
-    def test_simulate_rejects_impossible_packing(self):
-        with pytest.raises(UsageError):
-            spec_of(["simulate", "--tf", "150", "--tau", "100", "--loads", "1"])
+    def test_simulate_rejects_impossible_packing(self, capsys):
+        assert_one_line_usage_error(
+            ["simulate", "--tf", "150", "--tau", "100", "--loads", "1"], capsys
+        )
+
+    def test_threshold_ignores_frame(self):
+        spec = spec_of(["threshold", "--tau", "1000", "--tf", "10"])
+        assert spec.frame_len is None
 
     def test_config_file_supplies_defaults(self, tmp_path):
         cfg = tmp_path / "run.json"
@@ -328,6 +373,35 @@ class TestMain:
         err = capsys.readouterr().err
         assert err.startswith("divaloha: ") and err.count("\n") == 1
 
+    @pytest.mark.parametrize("mode", ["analytic", "threshold"])
+    @pytest.mark.parametrize("snr", ["inf", "1e400", "4000"])
+    def test_unbounded_snr_exits_usage(self, mode, snr, capsys):
+        assert_one_line_usage_error(
+            [mode, "--tf", "10000", "--tau", "100", "--loads", "0.5", f"--snr-db={snr}"],
+            capsys,
+        )
+
+    @pytest.mark.parametrize(
+        "flag,value",
+        [
+            ("--tf", "1e400"), ("--tf", "nan"), ("--tf", "inf"), ("--tf", "1e400us"),
+            ("--tau", "1e400"), ("--tau", "-inf"), ("--tau", "nanus"),
+            ("--ts", "inf"), ("--ts", "1e400us"), ("--ts", "nan"),
+        ],
+    )
+    def test_non_finite_durations_exit_usage(self, flag, value, capsys):
+        argv = ["analytic", "--tf", "10000", "--tau", "100", "--loads", "0.5"]
+        assert_one_line_usage_error(argv + [f"{flag}={value}"], capsys)
+
+    def test_jammed_placement_exits_usage_at_once(self, capsys):
+        started = time.perf_counter()
+        assert_one_line_usage_error(
+            ["simulate", "--tf", "1000", "--tau", "100", "--copies", "9",
+             "--loads", "1", "--rounds", "10"],
+            capsys,
+        )
+        assert time.perf_counter() - started < 1.0
+
     @pytest.mark.parametrize("entry", ["NaN", "Infinity", "-Infinity", '"nan"', "null"])
     def test_config_file_bad_load_entry_exits_usage(self, entry, tmp_path, capsys):
         cfg = tmp_path / "run.json"
@@ -366,3 +440,53 @@ class TestDeterminism:
         for p in paths:
             assert main(argv + ["--out", str(p)]) == EXIT_OK
         assert paths[0].read_bytes() == paths[1].read_bytes()
+
+
+# every flag that takes a number, fed from one pool of valid and broken values
+_POOL = ["nan", "inf", "-inf", "1e400", "-1", "0", "abc", "1.5us"]
+_CONTRACT_FLAGS = {
+    "tf": _POOL + ["500", "1000", "2000us"],
+    "tau": _POOL + ["1", "5", "100"],
+    "ts": _POOL + ["1", "0.5", "2us"],
+    "snr-db": _POOL + ["2", "10", "40"],
+    "snir-dec-db": _POOL + ["1", "-3"],
+    "rate": _POOL + ["0.25", "0.5", "1"],
+    "mod": _POOL + ["2", "4", "16"],
+    "copies": _POOL + ["1", "2", "3"],
+}
+
+
+@st.composite
+def contract_argv(draw):
+    mode = draw(st.sampled_from([["threshold"], ["analytic", "--loads", "0.5"]]))
+    flags = draw(
+        st.dictionaries(
+            st.sampled_from(sorted(_CONTRACT_FLAGS)),
+            st.none(),
+            max_size=len(_CONTRACT_FLAGS),
+        )
+    )
+    argv = list(mode)
+    for flag in sorted(flags):
+        argv.append(f"--{flag}={draw(st.sampled_from(_CONTRACT_FLAGS[flag]))}")
+    if "tau" not in flags:
+        argv.append("--tau=5")
+    if "tf" not in flags:
+        argv.append("--tf=1000")
+    return argv
+
+
+class TestCliContract:
+    @settings(max_examples=300, deadline=None)
+    @given(argv=contract_argv())
+    def test_every_outcome_is_ok_or_one_line_error(self, argv):
+        out, err = io.StringIO(), io.StringIO()
+        with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+            code = main(argv)
+        assert code in (EXIT_OK, EXIT_USAGE, EXIT_RUNTIME)
+        assert "Traceback" not in out.getvalue() + err.getvalue()
+        if code == EXIT_OK:
+            assert err.getvalue() == ""
+        else:
+            lines = err.getvalue().splitlines()
+            assert len(lines) == 1 and lines[0].startswith("divaloha: ")

@@ -52,6 +52,11 @@ class TestSnirThreshold:
         with pytest.raises(InvalidParameterError):
             snir_threshold(0.0)
 
+    def test_rejects_rate_past_float_range(self):
+        # 2**1100 - 1 has no float; e.g. --mod 2**1100 at --rate 1
+        with pytest.raises(InvalidParameterError):
+            snir_threshold(1100.0)
+
 
 class TestSnirAt:
     def test_no_interference_is_plain_snr(self):
@@ -91,6 +96,17 @@ class TestInterferenceBudget:
 
     def test_two_db_qpsk_half(self):
         assert interference_budget(1000, 10.0**0.2, 1.0) == DecodeBudget(369)
+
+    @pytest.mark.parametrize(
+        "snr,dec", [(math.inf, 1.0), (1.0, math.inf), (math.nan, 1.0), (10.0, math.nan)]
+    )
+    def test_rejects_non_finite_ratios(self, snr, dec):
+        with pytest.raises(InvalidParameterError):
+            interference_budget(1000, snr, dec)
+
+    def test_snr_past_float_range_is_rejected(self):
+        with pytest.raises(InvalidParameterError):
+            LinkModel.from_parameters(4, 0.5, 4000.0, 1000)
 
     def test_snr_below_threshold_is_undecodable(self):
         budget = interference_budget(1000, 0.5, 1.0)

@@ -4,20 +4,18 @@ against the all-pairs reference, decoding, and stream determinism."""
 import numpy as np
 import pytest
 
-import divaloha.simulator as sim
 from divaloha import (
+    ConfigError,
     DecodeBudget,
     Frame,
     InvalidParameterError,
     LinkModel,
     PlacementImpossibleError,
-    RejectionLimitError,
     SystemConfig,
     decode_frame,
     draw_frame,
     estimate_point,
     frame_rng,
-    pairwise_overlap,
     per_copy_interference,
     per_copy_interference_brute,
     point_seed,
@@ -77,18 +75,82 @@ class TestDrawFrame:
             draw_frame(frame_rng(1, 0), -1, config)
 
     def test_impossible_packing_raises_up_front(self):
-        config = SystemConfig(frame_len=120, burst_len=50, copies=3)
-        with pytest.raises(PlacementImpossibleError):
-            draw_frame(frame_rng(1, 0), 1, config)
+        with pytest.raises(ConfigError):
+            SystemConfig(frame_len=120, burst_len=50, copies=3)
 
-    def test_retry_cap_surfaces_hopeless_draws(self, monkeypatch):
-        # burst of half the frame: a mid-frame first copy leaves no room,
-        # so some packet eventually sticks and the cap must fire
-        monkeypatch.setattr(sim, "_REJECTION_CAP", 200)
+    def test_dead_end_first_copy_raises(self):
+        # burst of half the frame: a mid-frame first copy leaves no room
         config = SystemConfig(frame_len=100, burst_len=50)
-        with pytest.raises(RejectionLimitError):
+        with pytest.raises(PlacementImpossibleError):
             for f in range(200):
                 draw_frame(frame_rng(3, f), 4, config)
+
+    def test_jammed_frame_raises_at_once(self):
+        # nine copies of 100 fit in 1000 symbols only if packed end to end
+        config = SystemConfig(frame_len=1000, burst_len=100, copies=9)
+        with pytest.raises(PlacementImpossibleError):
+            draw_frame(frame_rng(1, 0), 10, config)
+
+
+class ScriptedRng:
+    """Stands in for a Generator: each ``integers`` call returns the next
+    scripted array and records the upper bounds it was asked for."""
+
+    def __init__(self, *outputs):
+        self.outputs = list(outputs)
+        self.highs = []
+
+    def integers(self, low, high, size=None):
+        assert low == 0
+        out = np.asarray(self.outputs.pop(0), dtype=np.int64)
+        assert np.all(out < high)
+        self.highs.append(np.broadcast_to(high, out.shape).copy())
+        return out
+
+
+def admissible(config, earlier):
+    return [
+        x
+        for x in range(config.start_positions)
+        if all(abs(x - s) >= config.burst_len for s in earlier)
+    ]
+
+
+class TestRankPlacement:
+    """Every rank 0..free-1 maps to exactly the admissible starts, in order."""
+
+    CONFIG = dict(frame_len=40, burst_len=5)
+
+    def test_two_copies(self):
+        config = SystemConfig(copies=2, **self.CONFIG)
+        for s0 in range(config.start_positions):
+            want = admissible(config, [s0])
+            n = len(want)
+            rng = ScriptedRng(np.full(n, s0), np.arange(n))
+            frame = draw_frame(rng, n, config)
+            assert np.array_equal(rng.highs[0], np.full(n, config.start_positions))
+            assert np.array_equal(rng.highs[1], np.full(n, n))
+            assert frame.starts[:, 1].tolist() == want
+
+    def test_three_copies(self):
+        config = SystemConfig(copies=3, **self.CONFIG)
+        for s0 in range(config.start_positions):
+            second = admissible(config, [s0])
+            for rank1, s1 in enumerate(second):
+                want = admissible(config, [s0, s1])
+                n = len(want)
+                rng = ScriptedRng(np.full(n, s0), np.full(n, rank1), np.arange(n))
+                frame = draw_frame(rng, n, config)
+                assert np.array_equal(rng.highs[2], np.full(n, n))
+                assert np.all(frame.starts[:, 1] == s1)
+                assert frame.starts[:, 2].tolist() == want
+
+    def test_no_room_raises_before_drawing(self):
+        config = SystemConfig(frame_len=100, burst_len=50)
+        rng = ScriptedRng([25])
+        with pytest.raises(PlacementImpossibleError):
+            draw_frame(rng, 1, config)
+        assert len(rng.highs) == 1
 
 
 class TestPairwiseOverlap:
@@ -97,8 +159,11 @@ class TestPairwiseOverlap:
         [(0, 0, 100, 100), (0, 1, 100, 99), (0, 99, 100, 1), (0, 100, 100, 0), (0, 250, 100, 0)],
     )
     def test_oracle_values(self, a, b, tau, expected):
-        assert pairwise_overlap(a, b, tau) == expected
-        assert pairwise_overlap(b, a, tau) == expected
+        # two single-copy packets: each sees exactly the pair's overlap
+        config = SystemConfig(frame_len=400, burst_len=tau, copies=1)
+        frame = Frame(np.array([[a], [b]], dtype=np.int64))
+        assert per_copy_interference(frame, config).tolist() == [[expected]] * 2
+        assert per_copy_interference_brute(frame, config).tolist() == [[expected]] * 2
 
 
 class TestPerCopyInterference:
@@ -109,13 +174,6 @@ class TestPerCopyInterference:
         expected = np.array([[1, 0], [1, 0]])
         assert np.array_equal(per_copy_interference(frame, config), expected)
         assert np.array_equal(per_copy_interference_brute(frame, config), expected)
-
-    def test_own_copies_excluded_even_when_overlapping(self):
-        # hand-built invalid frame: the two copies of packet 0 overlap
-        config = SystemConfig(frame_len=30, burst_len=5)
-        frame = Frame(np.array([[0, 2]], dtype=np.int64))
-        assert np.array_equal(per_copy_interference(frame, config), [[0, 0]])
-        assert np.array_equal(per_copy_interference_brute(frame, config), [[0, 0]])
 
     def test_stacked_identical_starts(self):
         config = SystemConfig(frame_len=30, burst_len=4)
