@@ -521,6 +521,11 @@ def main(argv=None) -> int:
     except (DivalohaError, OSError) as exc:
         print(f"divaloha: {exc}", file=sys.stderr)
         return EXIT_RUNTIME
+    except Exception as exc:
+        # an unforeseen fault is a runtime failure, never a compare verdict
+        detail = " ".join(str(exc).split())
+        print(f"divaloha: {type(exc).__name__}: {detail}", file=sys.stderr)
+        return EXIT_RUNTIME
 
 
 if __name__ == "__main__":

@@ -25,13 +25,42 @@ RNG_STREAM_RULE = (
 )
 
 _MASK64 = (1 << 64) - 1
+# counter and output buffer of a freshly keyed Philox; the state setter
+# copies them, so one read-only array serves every re-key
+_ZEROS4 = np.zeros(4, dtype=np.uint64)
+_ZEROS4.flags.writeable = False
 
 
-def frame_rng(seed: int, frame_index: int) -> np.random.Generator:
+def frame_rng(
+    seed: int, frame_index: int, rng: np.random.Generator | None = None
+) -> np.random.Generator:
     """Independent stream for one frame. Counter-based keying means any
-    subset of frames can be drawn in any order or process."""
-    key = ((seed & _MASK64) << 64) | (frame_index & _MASK64)
-    return np.random.Generator(np.random.Philox(key=key))
+    subset of frames can be drawn in any order or process.
+
+    The frame's Philox key is ``[frame_index, seed]`` (the 128-bit
+    ``(seed << 64) | frame_index``) at counter 0. With no ``rng`` this
+    builds a fresh Generator. Given a Philox-backed Generator, typically
+    the one an earlier call returned, it re-keys that Generator in place
+    (key, counter 0, empty buffers) and returns it: the stream bytes are
+    those of a fresh Generator, without seeding a throwaway SeedSequence.
+    """
+    if rng is None:
+        key = ((seed & _MASK64) << 64) | (frame_index & _MASK64)
+        return np.random.Generator(np.random.Philox(key=key))
+    rng.bit_generator.state = {
+        "bit_generator": "Philox",
+        "state": {
+            "counter": _ZEROS4,
+            "key": np.array(
+                [frame_index & _MASK64, seed & _MASK64], dtype=np.uint64
+            ),
+        },
+        "buffer": _ZEROS4,
+        "buffer_pos": 4,
+        "has_uint32": 0,
+        "uinteger": 0,
+    }
+    return rng
 
 
 def point_seed(master_seed: int, point_index: int) -> int:
@@ -72,13 +101,18 @@ def draw_frame(rng: np.random.Generator, n_tx: int, config: SystemConfig) -> Fra
     if n_tx == 0:
         return Frame(starts)
     positions = config.start_positions
-    starts[:, 0] = rng.integers(0, positions, size=n_tx)
+    first = rng.integers(0, positions, size=n_tx)
+    starts[:, 0] = first
     for c in range(1, config.copies):
-        # starts blocked by each earlier copy, as disjoint ascending runs
-        prev = np.sort(starts[:, :c], axis=1)
-        lo = np.maximum(prev - tau + 1, 0)
-        hi = np.minimum(prev + tau, positions)
-        lo[:, 1:] = np.maximum(lo[:, 1:], hi[:, :-1])
+        # starts blocked by each earlier copy, as disjoint ascending runs;
+        # a single earlier copy is already sorted
+        prev = first[:, None] if c == 1 else np.sort(starts[:, :c], axis=1)
+        lo = prev - (tau - 1)
+        np.maximum(lo, 0, out=lo)
+        hi = prev + tau
+        np.minimum(hi, positions, out=hi)
+        if c > 1:
+            np.maximum(lo[:, 1:], hi[:, :-1], out=lo[:, 1:])
         width = hi - lo
         free = positions - width.sum(axis=1)
         if not free.all():
@@ -101,27 +135,36 @@ def per_copy_interference(frame: Frame, config: SystemConfig) -> np.ndarray:
     Sorted sweep with prefix sums, O(B log B) in the copy count B. All
     arithmetic is integer, so the result is exact. The sweep counts every
     other copy in the frame, so it needs the precondition draw_frame
-    guarantees: copies of the same packet never overlap.
+    guarantees: copies of the same packet never overlap. It draws no random
+    numbers: a frame's interference follows from the starts its own
+    counter-based stream placed, whether that stream came from a fresh or a
+    re-keyed Generator (see frame_rng).
+
+    In sorted order, copy k at start s sees the copies lo..k-1 below it and
+    k+1..hi-1 above it within distance < tau; with prefix sums P of the
+    sorted starts, their summed overlap is the single expression
+    ``tau*(hi-lo-1) + s*(hi+lo-2k-1) + (P[k]-P[lo]) - (P[hi]-P[k+1])``.
     """
     tau = config.burst_len
     flat = frame.starts.reshape(-1)
     n = flat.shape[0]
     if n == 0:
         return np.zeros_like(frame.starts)
-    order = np.argsort(flat, kind="stable")
+    order = flat.argsort(kind="stable")
     s = flat[order]
-    prefix = np.concatenate(([0], np.cumsum(s)))
-    k = np.arange(n)
-    lo = np.searchsorted(s, s - tau + 1, side="left")
-    hi = np.searchsorted(s, s + tau - 1, side="right")
-    # neighbors at distance < tau, split below/above the copy itself
-    cnt_lo = k - lo
-    sum_lo = prefix[k] - prefix[lo]
-    cnt_hi = hi - (k + 1)
-    sum_hi = prefix[hi] - prefix[k + 1]
-    total_sorted = cnt_lo * (tau - s) + sum_lo + cnt_hi * (tau + s) - sum_hi
+    prefix = np.empty(n + 1, dtype=np.int64)
+    prefix[0] = 0
+    s.cumsum(out=prefix[1:])
+    lo = s.searchsorted(s - (tau - 1), side="left")
+    hi = s.searchsorted(s + (tau - 1), side="right")
+    k2 = np.arange(1, 2 * n, 2)  # 2k + 1
     total = np.empty(n, dtype=np.int64)
-    total[order] = total_sorted
+    total[order] = (
+        tau * (hi - lo - 1)
+        + s * (hi + lo - k2)
+        + (prefix[:-1] - prefix[lo])
+        - (prefix[hi] - prefix[1:])
+    )
     return total.reshape(frame.starts.shape)
 
 
@@ -142,11 +185,9 @@ def decode_frame(
     """Number of packets lost: a packet survives if any of its copies carries
     no more interference than the budget allows."""
     arr = np.asarray(interference).reshape(-1, copies)
-    if arr.shape[0] == 0:
-        return 0
     if not budget.decodable:
         return arr.shape[0]
-    return int((arr > budget.max_interference).all(axis=1).sum())
+    return int(np.count_nonzero((arr > budget.max_interference).all(axis=1)))
 
 
 @dataclass(frozen=True)
@@ -170,9 +211,16 @@ def _frames_lost(
     frame_lo: int,
     frame_hi: int,
 ) -> np.ndarray:
+    """Packets lost in each of frames frame_lo..frame_hi-1.
+
+    The chunk builds one Generator and re-keys it for every frame, so each
+    frame still draws its own counter-based stream, byte for byte the one
+    a fresh ``frame_rng(seed, f)`` gives.
+    """
     lost = np.empty(frame_hi - frame_lo, dtype=np.int64)
+    rng = None
     for f in range(frame_lo, frame_hi):
-        rng = frame_rng(seed, f)
+        rng = frame_rng(seed, f, rng)
         frame = draw_frame(rng, n_tx, config)
         interference = per_copy_interference(frame, config)
         lost[f - frame_lo] = decode_frame(interference, budget, config.copies)

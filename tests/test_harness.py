@@ -410,6 +410,21 @@ class TestMain:
         err = capsys.readouterr().err
         assert err.startswith("divaloha: ") and err.count("\n") == 1
 
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            # numpy rejects both sizes before it allocates anything
+            ["--tf", "1000000000000000000", "--tau", "1", "--rounds", "1"],
+            ["--tf", "1000", "--tau", "10", "--rounds", "100000000000000000000"],
+        ],
+    )
+    def test_unexpected_error_exits_runtime(self, argv, capsys):
+        code = main(["simulate", *argv, "--loads", "1"])
+        assert code == EXIT_RUNTIME
+        err = capsys.readouterr().err
+        assert err.startswith("divaloha: ") and err.count("\n") == 1
+        assert "Traceback" not in err
+
     def test_out_dir_env_var(self, tmp_path, monkeypatch, capsys):
         monkeypatch.setenv(OUT_DIR_ENV, str(tmp_path))
         code = main(

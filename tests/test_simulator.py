@@ -1,8 +1,11 @@
 """Simulator checks: placement validity, exact interference accounting
 against the all-pairs reference, decoding, and stream determinism."""
 
+import hashlib
+
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from divaloha import (
     ConfigError,
@@ -21,6 +24,8 @@ from divaloha import (
     point_seed,
     sweep,
 )
+from divaloha.harness import EXIT_OK, main
+from divaloha.simulator import RNG_STREAM_RULE, _frames_lost
 
 LINK_10DB = LinkModel.from_parameters(4, 0.5, 10.0, 100)
 
@@ -31,6 +36,84 @@ def test_frame_rng_is_reproducible():
     c = frame_rng(123, 8).integers(0, 1 << 30, size=8)
     assert np.array_equal(a, b)
     assert not np.array_equal(a, c)
+
+
+def dirty_generators():
+    """Generators whose state is mid-stream, not freshly keyed."""
+    odd = frame_rng(5, 1)
+    for _ in range(3):
+        odd.integers(0, 1000)  # leaves a buffered uint32
+    assert odd.bit_generator.state["has_uint32"] == 1
+    partial = frame_rng(6, 2)
+    partial.random(3)  # leaves a partly used 64-bit buffer
+    assert partial.bit_generator.state["buffer_pos"] < 4
+    return [odd, partial]
+
+
+class TestFrameRngRekey:
+    @pytest.mark.parametrize("copies", [1, 2, 3])
+    def test_rekeyed_draws_match_fresh(self, copies):
+        config = SystemConfig(frame_len=3000, burst_len=100, copies=copies)
+        for rng in dirty_generators():
+            for seed, f in [(7, 0), (7, 1), ((1 << 64) - 1, (1 << 64) - 1)]:
+                rekeyed = frame_rng(seed, f, rng)
+                assert rekeyed is rng
+                got = draw_frame(rekeyed, 20, config).starts
+                want = draw_frame(frame_rng(seed, f), 20, config).starts
+                assert np.array_equal(got, want)
+
+    def test_rekey_resets_buffers(self):
+        for rng in dirty_generators():
+            rekeyed = frame_rng(3, 4, rng)
+            fresh = frame_rng(3, 4)
+            state = rekeyed.bit_generator.state
+            assert state["state"]["key"].tolist() == [4, 3]
+            assert state["state"]["counter"].tolist() == [0, 0, 0, 0]
+            assert (state["buffer_pos"], state["has_uint32"]) == (4, 0)
+            # scalar draws take the buffered-uint32 path, raw the 64-bit one
+            draws = [
+                ([int(gen.integers(0, 1000)) for _ in range(3)],
+                 gen.bit_generator.random_raw(6).tolist())
+                for gen in (rekeyed, fresh)
+            ]
+            assert draws[0] == draws[1]
+
+    def test_chunk_matches_fresh_frames(self):
+        config = SystemConfig(frame_len=20000, burst_len=1000)
+        budget = LINK_10DB.budget
+        want = [
+            decode_frame(
+                per_copy_interference(draw_frame(frame_rng(9, f), 30, config), config),
+                budget,
+                config.copies,
+            )
+            for f in range(40, 90)
+        ]
+        assert _frames_lost(config, budget, 30, 9, 40, 90).tolist() == want
+
+
+# sha256 of the simulate CSV under RNG_STREAM_RULE v2. These pin the stream
+# bytes: only a deliberate, CHANGES-logged bump of RNG_STREAM_RULE may
+# update them, together with its version tag.
+GOLDEN_V2 = [
+    (
+        ["--tf", "20000", "--tau", "1000"],
+        "40966c18cbfc67fc2156b29f99554c9149d6a067d488c182f267ad889d8c7988",
+    ),
+    (
+        ["--copies", "3", "--tf", "3000", "--tau", "100"],
+        "dec05866629029034682352cf783ca7139a127e92c8ad5e962d6558d8af77a72",
+    ),
+]
+
+
+@pytest.mark.parametrize("geometry,digest", GOLDEN_V2, ids=["r20", "copies3"])
+def test_stream_rule_v2_golden_bytes(geometry, digest, capsys):
+    assert RNG_STREAM_RULE.startswith("v2:")
+    argv = ["simulate", *geometry, "--loads", "0.3,1.5", "--rounds", "200", "--seed", "7"]
+    assert main(argv) == EXIT_OK
+    out = capsys.readouterr().out
+    assert hashlib.sha256(out.encode("utf-8")).hexdigest() == digest
 
 
 def test_point_seed_is_stable_and_distinct():
@@ -197,6 +280,37 @@ class TestPerCopyInterference:
                 per_copy_interference(frame, config),
                 per_copy_interference_brute(frame, config),
             )
+
+
+@st.composite
+def edge_frames(draw):
+    """Valid frames at the sweep's edge geometries: unit bursts, copies
+    packed end to end in the frame, and a lone packet."""
+    kind = draw(st.sampled_from(["unit_burst", "packed", "lone_packet"]))
+    copies = draw(st.integers(1, 3))
+    tau = 1 if kind == "unit_burst" else draw(st.integers(1, 12))
+    frame_len = copies * tau
+    if kind != "packed":
+        frame_len += draw(st.integers(0, 40))
+    n_tx = 1 if kind == "lone_packet" else draw(st.integers(1, 8))
+    config = SystemConfig(frame_len=frame_len, burst_len=tau, copies=copies)
+    # sorted slacks plus i*tau keep a packet's copies >= tau apart in frame
+    slack = config.start_positions - 1 - (copies - 1) * tau
+    rows = []
+    for _ in range(n_tx):
+        gaps = sorted(draw(st.lists(st.integers(0, slack), min_size=copies, max_size=copies)))
+        rows.append(draw(st.permutations([g + i * tau for i, g in enumerate(gaps)])))
+    return config, Frame(np.array(rows, dtype=np.int64))
+
+
+@settings(deadline=None, max_examples=200)
+@given(case=edge_frames())
+def test_sweep_matches_brute_on_edge_geometries(case):
+    config, frame = case
+    assert np.array_equal(
+        per_copy_interference(frame, config),
+        per_copy_interference_brute(frame, config),
+    )
 
 
 class TestDecodeFrame:
