@@ -20,3 +20,6 @@ class InsufficientSupportError(DivalohaError):
 class PlacementImpossibleError(DivalohaError):
     """A packet's earlier copies leave a later copy no admissible start."""
 
+
+class WorkBoundError(DivalohaError):
+    """A run would exceed one of the package's documented work bounds."""

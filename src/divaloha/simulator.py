@@ -6,14 +6,13 @@ many workers split the batch."""
 from __future__ import annotations
 
 import math
-from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
 
 import numpy as np
 
 from .analytic import n_tx_for_load
 from .config import SystemConfig
-from .errors import InvalidParameterError, PlacementImpossibleError
+from .errors import InvalidParameterError, PlacementImpossibleError, WorkBoundError
 from .link import DecodeBudget, LinkModel
 
 RNG_ALGORITHM = "philox4x64"
@@ -23,6 +22,11 @@ RNG_STREAM_RULE = (
     "copy c >= 1 of every packet is one draw of its rank among the starts "
     "that clear the packet's earlier copies"
 )
+
+# Work bound: estimate_point refuses a frame of more copies (n_tx * copies)
+# than this before it places any. The paper's largest frames hold about 1200
+# copies; a frame at the bound keeps some 100 MiB of per-frame arrays.
+MAX_FRAME_COPIES = 1 << 20
 
 _MASK64 = (1 << 64) - 1
 # counter and output buffer of a freshly keyed Philox; the state setter
@@ -114,7 +118,10 @@ def draw_frame(rng: np.random.Generator, n_tx: int, config: SystemConfig) -> Fra
         if c > 1:
             np.maximum(lo[:, 1:], hi[:, :-1], out=lo[:, 1:])
         width = hi - lo
-        free = positions - width.sum(axis=1)
+        # column by column: a row sum over so few columns costs more
+        free = positions - width[:, 0]
+        for j in range(1, c):
+            free -= width[:, j]
         if not free.all():
             raise PlacementImpossibleError(
                 f"a packet's first {c} copies leave copy {c + 1} of "
@@ -144,28 +151,43 @@ def per_copy_interference(frame: Frame, config: SystemConfig) -> np.ndarray:
     k+1..hi-1 above it within distance < tau; with prefix sums P of the
     sorted starts, their summed overlap is the single expression
     ``tau*(hi-lo-1) + s*(hi+lo-2k-1) + (P[k]-P[lo]) - (P[hi]-P[k+1])``.
+    One search finds lo and hi together: they are the ranks of the keys
+    ``s - tau + 1`` and ``s + tau`` among the starts, and the expression is
+    evaluated in place over those keys as
+    ``(s-tau+1)*lo - P[lo] + (s+tau)*hi - P[hi] - lo``
+    ``+ P[k] + P[k+1] - (2k+1)*s - tau``.
+
+    The sort need not be stable. Copies that share a start s sit next to
+    each other in any order, see the same lo and hi, and the expression
+    changes by ``-2s + s[k] + s[k+1] = 0`` from one of them to the next,
+    so every order of a tie gives each of them the same total.
     """
     tau = config.burst_len
     flat = frame.starts.reshape(-1)
     n = flat.shape[0]
     if n == 0:
         return np.zeros_like(frame.starts)
-    order = flat.argsort(kind="stable")
+    order = flat.argsort()
     s = flat[order]
-    prefix = np.empty(n + 1, dtype=np.int64)
-    prefix[0] = 0
+    prefix = np.zeros(n + 1, dtype=np.int64)
     s.cumsum(out=prefix[1:])
-    lo = s.searchsorted(s - (tau - 1), side="left")
-    hi = s.searchsorted(s + (tau - 1), side="right")
-    k2 = np.arange(1, 2 * n, 2)  # 2k + 1
-    total = np.empty(n, dtype=np.int64)
-    total[order] = (
-        tau * (hi - lo - 1)
-        + s * (hi + lo - k2)
-        + (prefix[:-1] - prefix[lo])
-        - (prefix[hi] - prefix[1:])
-    )
-    return total.reshape(frame.starts.shape)
+    keys = np.empty((2, n), dtype=np.int64)
+    np.subtract(s, tau - 1, out=keys[0])
+    np.add(s, tau, out=keys[1])
+    lohi = s.searchsorted(keys)
+    # P[k] + P[k+1] - (2k+1)*s - lo - tau
+    total = prefix[:-1] + prefix[1:]
+    total -= np.arange(1, 2 * n, 2) * s
+    total -= lohi[0]
+    total -= tau
+    # (s-tau+1)*lo - P[lo] and (s+tau)*hi - P[hi]
+    keys *= lohi
+    keys -= prefix[lohi]
+    total += keys[0]
+    total += keys[1]
+    out = np.empty(n, dtype=np.int64)
+    out[order] = total
+    return out.reshape(frame.starts.shape)
 
 
 def per_copy_interference_brute(frame: Frame, config: SystemConfig) -> np.ndarray:
@@ -183,11 +205,20 @@ def decode_frame(
     interference: np.ndarray, budget: DecodeBudget, copies: int
 ) -> int:
     """Number of packets lost: a packet survives if any of its copies carries
-    no more interference than the budget allows."""
+    no more interference than the budget allows.
+
+    A packet is lost exactly when its least-interfered copy exceeds the
+    budget. The least interference is a running minimum over the copy
+    columns: one elementwise pass per copy, with no per-row reduction and
+    the same code for every copy count.
+    """
     arr = np.asarray(interference).reshape(-1, copies)
     if not budget.decodable:
         return arr.shape[0]
-    return int(np.count_nonzero((arr > budget.max_interference).all(axis=1)))
+    least = arr[:, 0]
+    for c in range(1, copies):
+        least = np.minimum(least, arr[:, c])
+    return int(np.count_nonzero(least > budget.max_interference))
 
 
 @dataclass(frozen=True)
@@ -247,12 +278,19 @@ def estimate_point(
     standard error of the per-frame loss fraction: packets within a frame
     share interferers, so per-packet counting would understate it. Output
     depends only on (config, link, load, rounds, seed), never on workers.
+    A load that puts more than MAX_FRAME_COPIES copies in a frame raises
+    WorkBoundError before any frame is placed.
     """
     if rounds < 1:
         raise InvalidParameterError(f"rounds must be >= 1, got {rounds}")
     if workers < 1:
         raise InvalidParameterError(f"workers must be >= 1, got {workers}")
     n_tx = n_tx_for_load(config, load)
+    if n_tx * config.copies > MAX_FRAME_COPIES:
+        raise WorkBoundError(
+            f"load {load} puts {n_tx} packets of {config.copies} copies in a "
+            f"frame; at most {MAX_FRAME_COPIES} copies per frame are simulated"
+        )
     if n_tx == 0:
         return SimResult(load, 0, rounds, 0.0, 0.0, 0.0, seed)
     budget = link.budget
@@ -263,6 +301,10 @@ def estimate_point(
     if workers == 1:
         lost[:] = _frames_lost(config, budget, n_tx, seed, 0, rounds)
     else:
+        # imported here: it costs a noticeable share of the package import,
+        # and only a multi-worker run needs it
+        from concurrent.futures import ProcessPoolExecutor
+
         n_chunks = min(rounds, workers * 4)
         bounds = [(rounds * i) // n_chunks for i in range(n_chunks + 1)]
         tasks = [

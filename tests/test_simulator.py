@@ -2,11 +2,15 @@
 against the all-pairs reference, decoding, and stream determinism."""
 
 import hashlib
+import os
+import subprocess
+import sys
 
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
+import divaloha
 from divaloha import (
     ConfigError,
     DecodeBudget,
@@ -15,6 +19,7 @@ from divaloha import (
     LinkModel,
     PlacementImpossibleError,
     SystemConfig,
+    WorkBoundError,
     decode_frame,
     draw_frame,
     estimate_point,
@@ -24,8 +29,9 @@ from divaloha import (
     point_seed,
     sweep,
 )
-from divaloha.harness import EXIT_OK, main
-from divaloha.simulator import RNG_STREAM_RULE, _frames_lost
+from divaloha import simulator
+from divaloha.harness import EXIT_OK, EXIT_RUNTIME, main
+from divaloha.simulator import MAX_FRAME_COPIES, RNG_STREAM_RULE, _frames_lost
 
 LINK_10DB = LinkModel.from_parameters(4, 0.5, 10.0, 100)
 
@@ -111,6 +117,33 @@ GOLDEN_V2 = [
 def test_stream_rule_v2_golden_bytes(geometry, digest, capsys):
     assert RNG_STREAM_RULE.startswith("v2:")
     argv = ["simulate", *geometry, "--loads", "0.3,1.5", "--rounds", "200", "--seed", "7"]
+    assert main(argv) == EXIT_OK
+    out = capsys.readouterr().out
+    assert hashlib.sha256(out.encode("utf-8")).hexdigest() == digest
+
+
+# The same pin for the big frames (600 packets at 200000/500, load 1.5),
+# where the per-copy sweep does its largest sorts and searches.
+GOLDEN_V2_BIG_FRAMES = [
+    (
+        ["simulate", "--tf", "200000", "--tau", "500", "--copies", "2"],
+        "5681dba2cb34b3c32f1aaad03e2b9d93f4ebd5d639858b4c085de431820ac591",
+    ),
+    (
+        ["compare", "--tf", "100000", "--tau", "1000"],
+        "2f5b0516f39767f6a13a89c80dd8247b99cdd0ee1117fb70f3a05b64b6aaae0e",
+    ),
+]
+
+
+@pytest.mark.parametrize("workers", ["1", "2"])
+@pytest.mark.parametrize(
+    "command,digest", GOLDEN_V2_BIG_FRAMES, ids=["simulate-r400", "compare-r100"]
+)
+def test_stream_rule_v2_golden_bytes_big_frames(command, digest, workers, capsys):
+    assert RNG_STREAM_RULE.startswith("v2:")
+    argv = [*command, "--loads", "0.3,1.5", "--rounds", "40", "--seed", "7",
+            "--workers", workers]
     assert main(argv) == EXIT_OK
     out = capsys.readouterr().out
     assert hashlib.sha256(out.encode("utf-8")).hexdigest() == digest
@@ -313,6 +346,42 @@ def test_sweep_matches_brute_on_edge_geometries(case):
     )
 
 
+@st.composite
+def shared_start_frames(draw):
+    """Valid frames in which many starts repeat across packets.
+
+    Every start lies on one of a few lattices of step tau, so two copies on
+    one lattice either coincide or do not overlap, while copies on
+    different lattices overlap partly. Each packet keeps to one lattice and
+    takes distinct points of it, so its own copies never overlap.
+    """
+    copies = draw(st.integers(1, 3))
+    tau = draw(st.integers(1, 40))
+    points = copies + draw(st.integers(0, 4))
+    offsets = draw(st.lists(st.integers(0, tau - 1), min_size=1, max_size=3))
+    n_tx = draw(st.integers(1, 600))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    lattice = rng.integers(0, len(offsets), size=n_tx)
+    picks = np.argsort(rng.random((n_tx, points)), axis=1)[:, :copies]
+    starts = np.asarray(offsets)[lattice][:, None] + tau * picks
+    config = SystemConfig(
+        frame_len=max(offsets) + points * tau, burst_len=tau, copies=copies
+    )
+    return config, Frame(starts.astype(np.int64)), rng.permutation(n_tx)
+
+
+@settings(deadline=None, max_examples=25)
+@given(case=shared_start_frames())
+def test_sweep_on_shared_starts_matches_brute_and_follows_row_order(case):
+    # the sweep's sort is not stable: tie order among equal starts must not
+    # reach the result
+    config, frame, perm = case
+    got = per_copy_interference(frame, config)
+    assert np.array_equal(got, per_copy_interference_brute(frame, config))
+    permuted = per_copy_interference(Frame(frame.starts[perm]), config)
+    assert np.array_equal(permuted, got[perm])
+
+
 class TestDecodeFrame:
     def test_budget_gate(self):
         interference = np.array([[0, 50], [10, 10], [51, 51]])
@@ -330,6 +399,41 @@ class TestDecodeFrame:
 
     def test_empty(self):
         assert decode_frame(np.empty((0, 2)), DecodeBudget(10), copies=2) == 0
+
+
+def decode_reference(interference, budget, copies):
+    """Packets whose every copy exceeds the budget, by row reduction."""
+    arr = np.asarray(interference).reshape(-1, copies)
+    if not budget.decodable:
+        return arr.shape[0]
+    return int(np.count_nonzero((arr > budget.max_interference).all(axis=1)))
+
+
+class TestDecodeFrameReference:
+    BUDGET = DecodeBudget(50)
+
+    @pytest.mark.parametrize("copies", [1, 2, 3, 4])
+    @pytest.mark.parametrize("n_tx", [1, 2, 37, 600])
+    def test_matches_row_reduction(self, copies, n_tx):
+        # values straddle the budget, so many copies sit exactly on it
+        rng = np.random.default_rng(100 * copies + n_tx)
+        for _ in range(20):
+            interference = rng.integers(48, 53, size=(n_tx, copies))
+            assert decode_frame(interference, self.BUDGET, copies) == (
+                decode_reference(interference, self.BUDGET, copies)
+            )
+
+    @pytest.mark.parametrize("copies", [1, 2, 3, 4])
+    def test_edge_frames(self, copies):
+        at_budget = np.full((5, copies), 50)
+        over = at_budget + 1
+        one_clean = over.copy()
+        one_clean[:, -1] = 50
+        cases = [(at_budget, 0), (over, 5), (one_clean, 0), (over[:1], 1),
+                 (at_budget[:1], 0), (np.zeros((0, copies)), 0)]
+        for interference, lost in cases:
+            assert decode_frame(interference, self.BUDGET, copies) == lost
+            assert decode_reference(interference, self.BUDGET, copies) == lost
 
 
 class TestEstimatePoint:
@@ -410,3 +514,50 @@ class TestSweep:
         results = sweep(config, LINK_10DB, loads, 1500, seed=23)
         for pt, res in zip(pts, results):
             assert abs(pt.plr - res.plr_mean) <= max(0.02, 5 * res.plr_stderr)
+
+
+class TestFrameCopyBound:
+    """The per-frame copy bound refuses a load before any frame is placed."""
+
+    @pytest.fixture
+    def no_placement(self, monkeypatch):
+        class Placed(Exception):
+            pass
+
+        def placed(*args, **kwargs):
+            raise Placed
+
+        monkeypatch.setattr(simulator, "draw_frame", placed)
+        return Placed
+
+    def test_bound_is_inclusive(self, no_placement):
+        # unit bursts: n_tx = load * frame_len, two copies each
+        config = SystemConfig(frame_len=MAX_FRAME_COPIES, burst_len=1)
+        with pytest.raises(no_placement):
+            estimate_point(config, LINK_10DB, 0.5, 1, seed=1)
+        over = (MAX_FRAME_COPIES // 2 + 1) / MAX_FRAME_COPIES
+        with pytest.raises(WorkBoundError):
+            estimate_point(config, LINK_10DB, over, 1, seed=1)
+
+    @pytest.mark.parametrize("tf", ["1000000000", "1000000000000000000"])
+    def test_cli_refuses_huge_frame(self, tf, no_placement, capsys):
+        argv = ["simulate", "--tf", tf, "--tau", "1", "--loads", "1", "--rounds", "1"]
+        assert main(argv) == EXIT_RUNTIME
+        err = capsys.readouterr().err
+        assert err.startswith("divaloha: ") and err.count("\n") == 1
+        assert str(MAX_FRAME_COPIES) in err
+
+
+def test_import_leaves_process_pool_out():
+    # only a multi-worker run needs concurrent.futures.process
+    src = os.path.dirname(os.path.dirname(os.path.abspath(divaloha.__file__)))
+    code = (
+        "import sys, divaloha, divaloha.harness; "
+        "print('concurrent.futures.process' in sys.modules)"
+    )
+    env = dict(os.environ, PYTHONPATH=src)
+    out = subprocess.run(
+        [sys.executable, "-c", code], env=env, capture_output=True, text=True,
+        timeout=60, check=True,
+    )
+    assert out.stdout.strip() == "False"
