@@ -143,15 +143,6 @@ def _fold_kernel(frame_len: int, burst_len: int) -> _FoldKernel:
     )
 
 
-@lru_cache(maxsize=128)
-def _single_dp_probs(frame_len: int, burst_len: int) -> np.ndarray:
-    counts = _numerators_by_first_event(frame_len, burst_len)
-    # exact integers over an exact den (both < 2**53): correctly rounded
-    probs = counts.sum(axis=0) / _fold_kernel(frame_len, burst_len).den
-    probs.setflags(write=False)
-    return probs
-
-
 @dataclass(frozen=True, eq=False)
 class InterferencePmf:
     """Pmf of the aggregate overlap (symbols) a tagged copy suffers.
@@ -160,6 +151,7 @@ class InterferencePmf:
     so full support is 0..dp_count*burst_len. When ``truncated_at`` is set,
     ``probs`` holds only indices 0..truncated_at and the upper tail is
     dropped; every retained entry still equals its untruncated value.
+    ``probs`` is a read-only copy of the array it was built from.
     """
 
     config: SystemConfig
@@ -168,7 +160,8 @@ class InterferencePmf:
     truncated_at: int | None = None
 
     def __post_init__(self) -> None:
-        probs = np.asarray(self.probs, dtype=float)
+        probs = np.array(self.probs, dtype=float)
+        probs.setflags(write=False)
         object.__setattr__(self, "probs", probs)
         if self.dp_count < 0:
             raise InvalidParameterError(f"dp_count must be >= 0, got {self.dp_count}")
@@ -211,11 +204,12 @@ def delta_pmf(config: SystemConfig) -> InterferencePmf:
 
 
 def single_dp_pmf(config: SystemConfig) -> InterferencePmf:
-    """Aggregate-overlap pmf one disturbing packet inflicts on a tagged copy."""
-    _require_analytic(config)
-    return InterferencePmf(
-        config, 1, _single_dp_probs(config.frame_len, config.burst_len)
-    )
+    """Aggregate-overlap pmf one disturbing packet inflicts on a tagged copy.
+
+    It is the first step of the disturber fold: the exact counts over A*B,
+    each divided once, so every entry is correctly rounded.
+    """
+    return interference_distribution(config, 1)
 
 
 class EventSplit(NamedTuple):
@@ -283,27 +277,18 @@ def full_overlap_breakdown(config: SystemConfig) -> FullOverlapBreakdown:
 def _conv_prefix(a: np.ndarray, b: np.ndarray, out_len: int) -> np.ndarray:
     """First ``out_len`` entries of the discrete convolution of a and b.
 
-    The summation order per output index is pinned (ascending index into
-    ``a``, numpy pairwise reduction over the window), so a truncated run
-    reproduces the matching prefix of an untruncated run bit for bit.
-    np.convolve is no use here: it swaps operands by length, which changes
-    the float summation order. One Python step per output index makes this
-    the general ``convolve`` path only; the disturber fold uses _fold_step.
+    One vector step per tap of ``b``, in ascending tap order:
+    ``out[j:j+n] += a[:n] * b[j]``. Each output entry therefore accumulates
+    its terms in one fixed order that depends on neither ``out_len`` nor
+    ``len(a)``, so a truncated run reproduces the matching prefix of an
+    untruncated run bit for bit. The operands are never swapped by length
+    (np.convolve does, which changes the float summation order); the cost
+    is one numpy call per tap of ``b``, so the short operand goes second.
     """
-    la = a.shape[0]
-    lb = b.shape[0]
-    br = np.ascontiguousarray(b[::-1])
     out = np.zeros(out_len)
-    for k in range(out_len):
-        i0 = k - lb + 1
-        if i0 < 0:
-            i0 = 0
-        i1 = k if k < la - 1 else la - 1
-        if i1 < i0:
-            continue
-        j0 = lb - 1 - k + i0
-        window = a[i0 : i1 + 1] * br[j0 : j0 + (i1 - i0 + 1)]
-        out[k] = np.add.reduce(window)
+    for j in range(min(b.shape[0], out_len)):
+        n = min(a.shape[0], out_len - j)
+        out[j : j + n] += a[:n] * b[j]
     return out
 
 
@@ -315,7 +300,8 @@ def convolve(
     ``trunc_len`` caps the result support at that overlap value. A prefix of
     a convolution depends only on the operand prefixes, so every retained
     entry equals the untruncated value exactly; mass above the cap is
-    dropped, not redistributed.
+    dropped, not redistributed. It costs one numpy call per support entry
+    of ``b``, so pass the shorter pmf (typically ``single_dp_pmf``) second.
     """
     if a.config != b.config:
         raise ConfigError("cannot convolve pmfs built for different configs")

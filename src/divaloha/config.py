@@ -9,16 +9,13 @@ from .errors import ConfigError
 
 @dataclass(frozen=True)
 class SystemConfig:
-    """Discretized frame geometry. All lengths are in symbols.
-
-    ``symbol_time`` (seconds) only fixes the physical scale for reporting;
-    the math runs entirely on symbol counts.
+    """Discretized frame geometry. All lengths are in symbols; the physical
+    symbol time never enters the math, so it is not part of the geometry.
     """
 
     frame_len: int
     burst_len: int
     copies: int = 2
-    symbol_time: float = 1e-6
 
     def __post_init__(self) -> None:
         if self.burst_len < 1:
@@ -30,8 +27,6 @@ class SystemConfig:
                 f"{self.copies} copies of {self.burst_len} symbols cannot fit "
                 f"in a {self.frame_len}-symbol frame"
             )
-        if not self.symbol_time > 0:
-            raise ConfigError(f"symbol_time must be > 0, got {self.symbol_time}")
 
     @property
     def start_positions(self) -> int:

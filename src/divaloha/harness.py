@@ -34,7 +34,7 @@ from .errors import (
     PlacementImpossibleError,
 )
 from .link import LinkModel
-from .simulator import RNG_ALGORITHM, RNG_STREAM_RULE, sweep
+from .simulator import RNG_ALGORITHM, RNG_STREAM_RULE, _require_frame_bound, sweep
 
 EXIT_OK = 0
 EXIT_COMPARE_FAILED = 1
@@ -93,7 +93,6 @@ class RunSpec:
             frame_len=self.frame_len,
             burst_len=self.burst_len,
             copies=self.copies,
-            symbol_time=self.symbol_time_us * 1e-6,
         )
 
     def link_model(self) -> LinkModel:
@@ -380,6 +379,10 @@ def build_rows(spec: RunSpec) -> tuple[list[dict], str | None]:
     link = spec.link_model()
     rows = [dict.fromkeys(CSV_COLUMNS) for _ in spec.loads]
 
+    if spec.mode in ("simulate", "compare"):
+        # refuse an over-bound load before any analytic or simulated work
+        for g in spec.loads:
+            _require_frame_bound(config, g)
     if spec.mode in ("analytic", "compare"):
         for row, pt in zip(rows, analytic_curve(config, link, spec.loads)):
             row["G"] = pt.load

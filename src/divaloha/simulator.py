@@ -5,6 +5,7 @@ many workers split the batch."""
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass
 
@@ -42,15 +43,15 @@ def frame_rng(
     subset of frames can be drawn in any order or process.
 
     The frame's Philox key is ``[frame_index, seed]`` (the 128-bit
-    ``(seed << 64) | frame_index``) at counter 0. With no ``rng`` this
-    builds a fresh Generator. Given a Philox-backed Generator, typically
-    the one an earlier call returned, it re-keys that Generator in place
-    (key, counter 0, empty buffers) and returns it: the stream bytes are
-    those of a fresh Generator, without seeding a throwaway SeedSequence.
+    ``(seed << 64) | frame_index``) at counter 0, with empty buffers. The
+    key is always set in place: on ``rng``, a Philox-backed Generator and
+    typically the one an earlier call returned, or with no ``rng`` on a new
+    Philox Generator. Either way the stream bytes are those of
+    ``Generator(Philox(key=(seed << 64) | frame_index))``; re-keying a
+    returned Generator for the next frame builds nothing new.
     """
     if rng is None:
-        key = ((seed & _MASK64) << 64) | (frame_index & _MASK64)
-        return np.random.Generator(np.random.Philox(key=key))
+        rng = np.random.Generator(np.random.Philox())
     rng.bit_generator.state = {
         "bit_generator": "Philox",
         "state": {
@@ -244,9 +245,11 @@ def _frames_lost(
 ) -> np.ndarray:
     """Packets lost in each of frames frame_lo..frame_hi-1.
 
-    The chunk builds one Generator and re-keys it for every frame, so each
-    frame still draws its own counter-based stream, byte for byte the one
-    a fresh ``frame_rng(seed, f)`` gives.
+    One Generator is re-keyed for every frame, so each frame still draws
+    its own counter-based stream, byte for byte the one a fresh
+    ``frame_rng(seed, f)`` gives. Module-level, so a process pool can
+    pickle a partial of it; the per-frame functions are looked up at call
+    time.
     """
     lost = np.empty(frame_hi - frame_lo, dtype=np.int64)
     rng = None
@@ -258,10 +261,16 @@ def _frames_lost(
     return lost
 
 
-def _run_chunk(task):
-    # module-level so ProcessPoolExecutor can pickle it
-    config, budget, n_tx, seed, frame_lo, frame_hi = task
-    return frame_lo, _frames_lost(config, budget, n_tx, seed, frame_lo, frame_hi)
+def _require_frame_bound(config: SystemConfig, load: float) -> int:
+    """Packets per frame at ``load``; WorkBoundError if that frame holds more
+    than MAX_FRAME_COPIES copies."""
+    n_tx = n_tx_for_load(config, load)
+    if n_tx * config.copies > MAX_FRAME_COPIES:
+        raise WorkBoundError(
+            f"load {load} puts {n_tx} packets of {config.copies} copies in a "
+            f"frame; at most {MAX_FRAME_COPIES} copies per frame are simulated"
+        )
+    return n_tx
 
 
 def estimate_point(
@@ -285,21 +294,16 @@ def estimate_point(
         raise InvalidParameterError(f"rounds must be >= 1, got {rounds}")
     if workers < 1:
         raise InvalidParameterError(f"workers must be >= 1, got {workers}")
-    n_tx = n_tx_for_load(config, load)
-    if n_tx * config.copies > MAX_FRAME_COPIES:
-        raise WorkBoundError(
-            f"load {load} puts {n_tx} packets of {config.copies} copies in a "
-            f"frame; at most {MAX_FRAME_COPIES} copies per frame are simulated"
-        )
+    n_tx = _require_frame_bound(config, load)
     if n_tx == 0:
         return SimResult(load, 0, rounds, 0.0, 0.0, 0.0, seed)
     budget = link.budget
     if not budget.decodable:
         # every packet is lost before placement matters
         return SimResult(load, n_tx, rounds, 1.0, 0.0, 0.0, seed)
-    lost = np.empty(rounds, dtype=np.int64)
+    run = functools.partial(_frames_lost, config, budget, n_tx, seed)
     if workers == 1:
-        lost[:] = _frames_lost(config, budget, n_tx, seed, 0, rounds)
+        lost = run(0, rounds)
     else:
         # imported here: it costs a noticeable share of the package import,
         # and only a multi-worker run needs it
@@ -307,13 +311,8 @@ def estimate_point(
 
         n_chunks = min(rounds, workers * 4)
         bounds = [(rounds * i) // n_chunks for i in range(n_chunks + 1)]
-        tasks = [
-            (config, budget, n_tx, seed, bounds[i], bounds[i + 1])
-            for i in range(n_chunks)
-        ]
         with ProcessPoolExecutor(max_workers=workers) as pool:
-            for frame_lo, chunk in pool.map(_run_chunk, tasks):
-                lost[frame_lo : frame_lo + chunk.shape[0]] = chunk
+            lost = np.concatenate(list(pool.map(run, bounds[:-1], bounds[1:])))
     # integer total first: the mean is then a single exact division
     plr_mean = float(int(lost.sum()) / (rounds * n_tx))
     if rounds > 1:
@@ -334,7 +333,12 @@ def sweep(
     seed: int,
     workers: int = 1,
 ) -> list[SimResult]:
-    """estimate_point over a load grid, one derived seed per grid index."""
+    """estimate_point over a load grid, one derived seed per grid index.
+
+    Every load is held to the frame copy bound before the first frame.
+    """
+    for g in loads:
+        _require_frame_bound(config, g)
     return [
         estimate_point(config, link, g, rounds, point_seed(seed, i), workers=workers)
         for i, g in enumerate(loads)

@@ -236,6 +236,28 @@ class TestConvolve:
         assert np.all(full.probs >= 0.0)
         assert np.array_equal(truncated.probs, full.probs[:keep])
 
+    @settings(deadline=None, max_examples=120)
+    @given(
+        config=analytic_configs(),
+        k=st.integers(1, 6),
+        t_frac=st.floats(0.0, 1.0),
+        trunc_frac=st.floats(0.0, 1.2),
+    )
+    def test_convolve_truncation_is_bitwise_prefix(self, config, k, t_frac, trunc_frac):
+        # convolve itself, not the fold: a truncated first operand, with or
+        # without a cap, gives a bitwise prefix of the untruncated result,
+        # also when it is shorter than the single-disturber pmf
+        single = single_dp_pmf(config)
+        a = interference_distribution(config, k)
+        full = convolve(a, single)
+        t = min(int(t_frac * k * config.burst_len), k * config.burst_len - 1)
+        a_t = InterferencePmf(config, k, a.probs[: t + 1], truncated_at=t)
+        trunc = int(trunc_frac * (k + 1) * config.burst_len)
+        for got in (convolve(a_t, single, trunc), convolve(a, single, trunc)):
+            keep = got.probs.shape[0]
+            assert keep <= full.probs.shape[0]
+            assert np.array_equal(got.probs, full.probs[:keep])
+
     def test_independent_reference_convolution(self):
         # schoolbook double loop as the cross-check, tolerance not bitwise
         config = geometry(80, 4)
@@ -301,6 +323,36 @@ class TestFold:
             p_ccd_at.append(p_copy_decoded(acc, budget))
         for pt in analytic_curve(config, link, loads):
             assert abs(pt.p_ccd - p_ccd_at[pt.n_tx - 1]) <= 1e-13
+
+
+class TestReadOnlyProbs:
+    """Every pmf holds a read-only copy of its probabilities."""
+
+    def test_library_pmfs_are_read_only(self):
+        config = geometry(500, 5)
+        single = single_dp_pmf(config)
+        pmfs = [
+            delta_pmf(config),
+            single,
+            convolve(single, single),
+            convolve(single, single, trunc_len=4),
+            interference_distribution(config, 3),
+            interference_distribution(config, 3, trunc_len=7),
+        ]
+        assert pmfs[3].truncated_at == 4 and pmfs[5].truncated_at == 7
+        for pmf in pmfs:
+            assert not pmf.probs.flags.writeable
+            with pytest.raises(ValueError):
+                pmf.probs[0] = 0.5
+
+    def test_user_built_pmf_copies_the_callers_array(self):
+        config = geometry(10, 1)
+        mine = np.array([0.25, 0.75])
+        pmf = InterferencePmf(config, 1, mine)
+        assert not pmf.probs.flags.writeable
+        assert mine.flags.writeable
+        mine[0] = 0.5  # the pmf does not see later writes
+        assert pmf.probs.tolist() == [0.25, 0.75]
 
 
 class TestInterferenceDistribution:

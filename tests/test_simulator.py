@@ -29,8 +29,8 @@ from divaloha import (
     point_seed,
     sweep,
 )
-from divaloha import simulator
-from divaloha.harness import EXIT_OK, EXIT_RUNTIME, main
+from divaloha import harness, simulator
+from divaloha.harness import EXIT_OK, EXIT_RUNTIME, EXIT_USAGE, main
 from divaloha.simulator import MAX_FRAME_COPIES, RNG_STREAM_RULE, _frames_lost
 
 LINK_10DB = LinkModel.from_parameters(4, 0.5, 10.0, 100)
@@ -83,6 +83,20 @@ class TestFrameRngRekey:
                 for gen in (rekeyed, fresh)
             ]
             assert draws[0] == draws[1]
+
+    @pytest.mark.parametrize(
+        "seed, f",
+        [(0, 0), (7, 1), (1 << 63, 12345), ((1 << 64) - 1, (1 << 64) - 1)],
+    )
+    def test_key_matches_reference_philox(self, seed, f):
+        # the keying rule, spelled out independently of frame_rng
+        def draws(gen):
+            return gen.integers(0, 1000, size=3).tolist(), gen.random(2).tolist()
+
+        want = draws(np.random.Generator(np.random.Philox(key=(seed << 64) | f)))
+        assert draws(frame_rng(seed, f)) == want
+        for rng in dirty_generators():
+            assert draws(frame_rng(seed, f, rng)) == want
 
     def test_chunk_matches_fresh_frames(self):
         config = SystemConfig(frame_len=20000, burst_len=1000)
@@ -451,6 +465,14 @@ class TestEstimatePoint:
         forked = estimate_point(config, LINK_10DB, 0.9, 60, seed=11, workers=3)
         assert serial == forked
 
+    @pytest.mark.parametrize("rounds", [1, 7])
+    def test_fewer_chunks_than_workers_times_four(self, rounds):
+        # 1 and 7 frames over 2 workers: fewer chunks than 8, uneven bounds
+        config = SystemConfig(frame_len=10000, burst_len=100)
+        serial = estimate_point(config, LINK_10DB, 1.2, rounds, seed=13, workers=1)
+        forked = estimate_point(config, LINK_10DB, 1.2, rounds, seed=13, workers=2)
+        assert serial == forked
+
     def test_zero_load(self):
         config = SystemConfig(frame_len=10000, burst_len=100)
         res = estimate_point(config, LINK_10DB, 0.0, 50, seed=1)
@@ -546,6 +568,52 @@ class TestFrameCopyBound:
         err = capsys.readouterr().err
         assert err.startswith("divaloha: ") and err.count("\n") == 1
         assert str(MAX_FRAME_COPIES) in err
+
+
+class TestBoundBeforeAnyWork:
+    """An over-bound load anywhere in the grid is refused before the
+    analytic fold and before the first simulated frame."""
+
+    @pytest.fixture
+    def no_work(self, monkeypatch):
+        def work(*args, **kwargs):
+            raise AssertionError("work started before the bound was checked")
+
+        monkeypatch.setattr(harness, "analytic_curve", work)
+        monkeypatch.setattr(simulator, "draw_frame", work)
+
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            # a million packets: 2 * 10**6 copies, past the bound
+            ["compare", "--loads", "1"],
+            # load 0.1 alone is within the bound and would run first
+            ["simulate", "--loads", "0.1,1"],
+            ["compare", "--loads", "0.1,1"],
+        ],
+    )
+    def test_cli_refuses_up_front(self, argv, no_work, capsys):
+        code = main([*argv, "--tf", "10000000", "--tau", "10", "--rounds", "1"])
+        assert code == EXIT_RUNTIME
+        err = capsys.readouterr().err
+        assert err.startswith("divaloha: ") and err.count("\n") == 1
+        assert str(MAX_FRAME_COPIES) in err
+
+    def test_sweep_refuses_up_front(self, no_work):
+        config = SystemConfig(frame_len=10_000_000, burst_len=10)
+        with pytest.raises(WorkBoundError):
+            sweep(config, LINK_10DB, [0.1, 1.0], 1, seed=1)
+
+    def test_analytic_error_still_precedes_simulation(self, monkeypatch, capsys):
+        def placed(*args, **kwargs):
+            raise AssertionError("simulated before the analytic check")
+
+        monkeypatch.setattr(simulator, "draw_frame", placed)
+        argv = ["compare", "--tf", "3000", "--tau", "100", "--copies", "3",
+                "--loads", "0.5", "--rounds", "1"]
+        assert main(argv) == EXIT_USAGE
+        err = capsys.readouterr().err
+        assert err.startswith("divaloha: ") and "2 copies" in err
 
 
 def test_import_leaves_process_pool_out():
