@@ -379,10 +379,9 @@ def build_rows(spec: RunSpec) -> tuple[list[dict], str | None]:
     link = spec.link_model()
     rows = [dict.fromkeys(CSV_COLUMNS) for _ in spec.loads]
 
-    if spec.mode in ("simulate", "compare"):
-        # refuse an over-bound load before any analytic or simulated work
-        for g in spec.loads:
-            _require_frame_bound(config, g)
+    # refuse an over-bound load before any analytic or simulated work
+    for g in spec.loads:
+        _require_frame_bound(config, g)
     if spec.mode in ("analytic", "compare"):
         for row, pt in zip(rows, analytic_curve(config, link, spec.loads)):
             row["G"] = pt.load

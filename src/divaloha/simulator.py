@@ -268,7 +268,7 @@ def _require_frame_bound(config: SystemConfig, load: float) -> int:
     if n_tx * config.copies > MAX_FRAME_COPIES:
         raise WorkBoundError(
             f"load {load} puts {n_tx} packets of {config.copies} copies in a "
-            f"frame; at most {MAX_FRAME_COPIES} copies per frame are simulated"
+            f"frame, over the bound of {MAX_FRAME_COPIES} copies per frame"
         )
     return n_tx
 

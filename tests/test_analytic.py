@@ -5,6 +5,7 @@ for tiny geometries (frame 10, burst 1 or 2), where the full placement
 space is small enough to enumerate on a sheet of grid squares.
 """
 
+import hashlib
 import math
 from fractions import Fraction
 
@@ -32,6 +33,7 @@ from divaloha import (
     pmf_mass_by_first_event,
     single_dp_pmf,
 )
+from divaloha.harness import main
 
 # hand-enumerated single-disturber pmfs (placement counts over A*B)
 ORACLE_PMF_10_2 = [Fraction(10, 27), Fraction(10, 27), Fraction(7, 27)]
@@ -323,6 +325,96 @@ class TestFold:
             p_ccd_at.append(p_copy_decoded(acc, budget))
         for pt in analytic_curve(config, link, loads):
             assert abs(pt.p_ccd - p_ccd_at[pt.n_tx - 1]) <= 1e-13
+
+
+def _block_edges():
+    # step output lengths tau-2 .. tau+1: windows in one block row or two,
+    # and tau 1, where the window sums vanish (w == 0)
+    for tau in (1, 2, 3, 100):
+        for out_len in (tau - 2, tau - 1, tau, tau + 1):
+            if out_len >= 1:
+                yield tau, out_len
+
+
+class TestFoldBlockEdges:
+    """Truncated folds whose every step ends at a block-row edge."""
+
+    @pytest.mark.parametrize("tau,out_len", list(_block_edges()), ids=str)
+    def test_prefix_and_oracle_at_block_edge(self, tau, out_len):
+        config = geometry(10 * tau, tau)
+        n_dp = 3
+        trunc = out_len - 1
+        full = interference_distribution(config, n_dp)
+        truncated = interference_distribution(config, n_dp, trunc_len=trunc)
+        assert truncated.probs.shape == (out_len,)
+        assert np.array_equal(truncated.probs, full.probs[:out_len])
+        single = single_dp_pmf(config)
+        oracle = delta_pmf(config)
+        for _ in range(n_dp):
+            oracle = convolve(oracle, single, trunc)
+        want = oracle.probs
+        seen = want > 1e-300
+        rel = np.abs(truncated.probs[seen] - want[seen]) / want[seen]
+        assert float(np.max(rel)) <= 1e-12
+        assert np.all(truncated.probs[~seen] <= 1e-300)
+
+
+# sha256 of the analytic CSV (load grid 0.1:1.5:0.1) and of folded probs.
+# These pin the fold's bits: only a deliberate, CHANGES-logged change of
+# the fold may update them. 10000/100 at rate 0.25 has budget 231 >= tau,
+# so its truncated steps span several block rows.
+GOLDEN_ANALYTIC_CSV = [
+    (
+        ["--tf", "200000", "--tau", "500", "--snr-db", "10"],
+        "b6c87ead020bb1e75b949a641516cb23ea7c78a42f88332228aee8df5fee50a2",
+    ),
+    (
+        ["--tf", "100000", "--tau", "1000", "--snr-db", "10"],
+        "33736d325f3ff63170c300aaf43973f37a318e8b90fa2c4542d0863956f82ee8",
+    ),
+    (
+        ["--tf", "20000", "--tau", "1000", "--snr-db", "10"],
+        "91a4ab0a0230e55b9d4bba7599bbce675bd0bc0817af6ac0da197e5439342189",
+    ),
+    (
+        ["--tf", "10000", "--tau", "100", "--rate", "0.25"],
+        "09ce899b5db76303762b1bbff8c657bc4ecc0e392a309c1fd6c53142ce9071f0",
+    ),
+]
+
+
+@pytest.mark.parametrize(
+    "geometry_argv,digest", GOLDEN_ANALYTIC_CSV,
+    ids=["r400", "r100", "r20", "multi-row"],
+)
+def test_analytic_csv_golden_bytes(geometry_argv, digest, capsys):
+    argv = ["analytic", *geometry_argv, "--loads", "0.1:1.5:0.1"]
+    assert main(argv) == 0
+    out = capsys.readouterr().out
+    assert hashlib.sha256(out.encode("utf-8")).hexdigest() == digest
+
+
+GOLDEN_FOLD_PROBS = [
+    # one block row per truncated step (budget 450 < tau - 1)
+    (
+        (200000, 500, 599, 450),
+        "4a5a3a223322aaed33c7f84d378a14fd6684e376e876e81a06724ae7763e961b",
+    ),
+    # untruncated: every step past the first spans many block rows
+    (
+        (2000, 50, 40, None),
+        "1f352d80c1417c71503d2755c8683baf8373984caab4ef7f7420fc270919febd",
+    ),
+]
+
+
+@pytest.mark.parametrize(
+    "case,digest", GOLDEN_FOLD_PROBS, ids=["one-row", "multi-row"]
+)
+def test_fold_probs_golden_bytes(case, digest):
+    frame_len, tau, n_dp, trunc = case
+    pmf = interference_distribution(geometry(frame_len, tau), n_dp, trunc)
+    assert hashlib.sha256(pmf.probs.tobytes()).hexdigest() == digest
 
 
 class TestReadOnlyProbs:

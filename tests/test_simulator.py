@@ -590,6 +590,8 @@ class TestBoundBeforeAnyWork:
             # load 0.1 alone is within the bound and would run first
             ["simulate", "--loads", "0.1,1"],
             ["compare", "--loads", "0.1,1"],
+            ["analytic", "--loads", "1"],
+            ["analytic", "--loads", "0.1,1"],
         ],
     )
     def test_cli_refuses_up_front(self, argv, no_work, capsys):
