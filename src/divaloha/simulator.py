@@ -7,6 +7,7 @@ from __future__ import annotations
 
 import functools
 import math
+import os
 from dataclasses import dataclass
 
 import numpy as np
@@ -287,6 +288,7 @@ def estimate_point(
     standard error of the per-frame loss fraction: packets within a frame
     share interferers, so per-packet counting would understate it. Output
     depends only on (config, link, load, rounds, seed), never on workers.
+    The process pool never holds more processes than chunks or CPUs.
     A load that puts more than MAX_FRAME_COPIES copies in a frame raises
     WorkBoundError before any frame is placed.
     """
@@ -311,7 +313,10 @@ def estimate_point(
 
         n_chunks = min(rounds, workers * 4)
         bounds = [(rounds * i) // n_chunks for i in range(n_chunks + 1)]
-        with ProcessPoolExecutor(max_workers=workers) as pool:
+        # a forked pool starts all its processes at the first task, so a
+        # process no chunk or CPU can use is never asked for
+        pool_size = min(workers, n_chunks, os.cpu_count() or 1)
+        with ProcessPoolExecutor(max_workers=pool_size) as pool:
             lost = np.concatenate(list(pool.map(run, bounds[:-1], bounds[1:])))
     # integer total first: the mean is then a single exact division
     plr_mean = float(int(lost.sum()) / (rounds * n_tx))

@@ -33,6 +33,7 @@ from divaloha import (
     pmf_mass_by_first_event,
     single_dp_pmf,
 )
+from divaloha.analytic import _fold
 from divaloha.harness import main
 
 # hand-enumerated single-disturber pmfs (placement counts over A*B)
@@ -357,6 +358,27 @@ class TestFoldBlockEdges:
         rel = np.abs(truncated.probs[seen] - want[seen]) / want[seen]
         assert float(np.max(rel)) <= 1e-12
         assert np.all(truncated.probs[~seen] <= 1e-300)
+
+
+def test_one_row_fold_matches_step_fold_and_oracle():
+    # trunc 40 < tau - 1 = 49: the fold runs as one loop, never _fold_step
+    config = geometry(2000, 50)
+    trunc, n_dp = 40, 60
+    looped = list(_fold(config, n_dp, trunc))
+    full = list(_fold(config, n_dp, None))
+    single = single_dp_pmf(config)
+    oracle = delta_pmf(config)
+    for n, (got, whole) in enumerate(zip(looped, full), start=1):
+        assert got.shape == (trunc + 1,)
+        assert np.array_equal(got, whole[: trunc + 1])
+        oracle = convolve(oracle, single, trunc)
+        want = oracle.probs
+        seen = want > 1e-300
+        rel = np.abs(got[seen] - want[seen]) / want[seen]
+        assert float(np.max(rel)) <= 1e-12
+        # a loop that wrote into an array it had yielded would fail here
+        per_count = interference_distribution(config, n, trunc_len=trunc)
+        assert np.array_equal(got, per_count.probs)
 
 
 # sha256 of the analytic CSV (load grid 0.1:1.5:0.1) and of folded probs.

@@ -20,16 +20,19 @@ from divaloha import (
     PlacementImpossibleError,
     SystemConfig,
     WorkBoundError,
+    analytic_curve,
     decode_frame,
     draw_frame,
     estimate_point,
     frame_rng,
+    interference_distribution,
     per_copy_interference,
     per_copy_interference_brute,
     point_seed,
     sweep,
 )
-from divaloha import harness, simulator
+from divaloha import analytic, harness, simulator
+from divaloha.analytic import MAX_FOLD_STEPS
 from divaloha.harness import EXIT_OK, EXIT_RUNTIME, EXIT_USAGE, main
 from divaloha.simulator import MAX_FRAME_COPIES, RNG_STREAM_RULE, _frames_lost
 
@@ -473,6 +476,39 @@ class TestEstimatePoint:
         forked = estimate_point(config, LINK_10DB, 1.2, rounds, seed=13, workers=2)
         assert serial == forked
 
+    @pytest.mark.parametrize(
+        "workers,rounds,cpus,size",
+        [(500, 10, 64, 10), (500, 1000, 2, 2), (3, 1000, 64, 3), (4, 50, None, 1)],
+    )
+    def test_pool_never_exceeds_chunks_or_cpus(
+        self, workers, rounds, cpus, size, monkeypatch
+    ):
+        # a recorder stands in for the pool and maps serially, so no
+        # process is ever started
+        import concurrent.futures
+
+        sizes = []
+
+        class SerialPool:
+            def __init__(self, max_workers):
+                sizes.append(max_workers)
+
+            def __enter__(self):
+                return self
+
+            def __exit__(self, *exc):
+                return False
+
+            def map(self, fn, *iterables):
+                return map(fn, *iterables)
+
+        monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", SerialPool)
+        monkeypatch.setattr(simulator.os, "cpu_count", lambda: cpus)
+        config = SystemConfig(frame_len=2000, burst_len=20)
+        pooled = estimate_point(config, LINK_10DB, 0.5, rounds, seed=19, workers=workers)
+        assert sizes == [size]
+        assert pooled == estimate_point(config, LINK_10DB, 0.5, rounds, seed=19)
+
     def test_zero_load(self):
         config = SystemConfig(frame_len=10000, burst_len=100)
         res = estimate_point(config, LINK_10DB, 0.0, 50, seed=1)
@@ -600,6 +636,49 @@ class TestBoundBeforeAnyWork:
         err = capsys.readouterr().err
         assert err.startswith("divaloha: ") and err.count("\n") == 1
         assert str(MAX_FRAME_COPIES) in err
+
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            # 500000 packets: inside the frame bound, 499999 fold steps
+            ["analytic", "--loads", "1"],
+            # load 0.1 alone (49999 steps) is within the fold bound
+            ["analytic", "--loads", "0.1,1"],
+            ["compare", "--loads", "1"],
+            ["compare", "--loads", "0.1,1"],
+        ],
+    )
+    def test_fold_bound_refuses_before_any_step(self, argv, monkeypatch, capsys):
+        def work(*args, **kwargs):
+            raise AssertionError("work started before the fold bound was checked")
+
+        monkeypatch.setattr(analytic, "_fold", work)
+        monkeypatch.setattr(simulator, "draw_frame", work)
+        code = main([*argv, "--tf", "1000000", "--tau", "2", "--rounds", "1"])
+        assert code == EXIT_RUNTIME
+        err = capsys.readouterr().err
+        assert err.startswith("divaloha: ") and err.count("\n") == 1
+        assert str(MAX_FOLD_STEPS) in err
+
+    def test_fold_bound_is_inclusive(self, monkeypatch):
+        class Folded(Exception):
+            pass
+
+        def folded(*args, **kwargs):
+            raise Folded
+
+        monkeypatch.setattr(analytic, "_fold", folded)
+        config = SystemConfig(frame_len=1000, burst_len=10)
+        with pytest.raises(Folded):
+            interference_distribution(config, MAX_FOLD_STEPS, 5)
+        with pytest.raises(WorkBoundError):
+            interference_distribution(config, MAX_FOLD_STEPS + 1, 5)
+        # n_tx = load * 100 packets fold n_tx - 1 disturbers
+        at_bound = (MAX_FOLD_STEPS + 1) / 100
+        with pytest.raises(Folded):
+            analytic_curve(config, LINK_10DB, [0.5, at_bound])
+        with pytest.raises(WorkBoundError):
+            analytic_curve(config, LINK_10DB, [at_bound + 0.01, 0.5])
 
     def test_sweep_refuses_up_front(self, no_work):
         config = SystemConfig(frame_len=10_000_000, burst_len=10)
