@@ -174,7 +174,10 @@ class InterferencePmf:
             raise InvalidParameterError(f"dp_count must be >= 0, got {self.dp_count}")
         if probs.ndim != 1:
             raise InvalidParameterError("probs must be one-dimensional")
-        if np.any(probs < 0.0):
+        # NaN compares False against every bound below, so it is refused here
+        if not np.isfinite(probs).all():
+            raise InvalidParameterError("pmf entries must be finite")
+        if (probs < 0.0).any():
             raise InvalidParameterError("pmf entries must be nonnegative")
         full_support = self.dp_count * self.config.burst_len
         if self.truncated_at is None:

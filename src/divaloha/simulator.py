@@ -31,10 +31,11 @@ RNG_STREAM_RULE = (
 MAX_FRAME_COPIES = 1 << 20
 
 _MASK64 = (1 << 64) - 1
-# counter and output buffer of a freshly keyed Philox; the state setter
-# copies them, so one read-only array serves every re-key
-_ZEROS4 = np.zeros(4, dtype=np.uint64)
-_ZEROS4.flags.writeable = False
+# frames of at most this many copies take the all-pairs overlap, larger ones
+# the sorted sweep (see per_copy_interference). Measured on fresh 20000/1000
+# frames, alternating the paths: all pairs won 14-15 of 15 at 32-56 copies,
+# 15-21 of 21 at 64-76, broke even at 80-88 and lost every one at 96 and 128.
+_ALL_PAIRS_MAX = 76
 
 
 def frame_rng(
@@ -50,18 +51,20 @@ def frame_rng(
     Philox Generator. Either way the stream bytes are those of
     ``Generator(Philox(key=(seed << 64) | frame_index))``; re-keying a
     returned Generator for the next frame builds nothing new.
+
+    The state setter reads ``counter``, ``key`` and ``buffer`` element by
+    element, so they are given as tuples of plain ints: no uint64 array is
+    built or parsed per frame, and the key words are the same.
     """
     if rng is None:
         rng = np.random.Generator(np.random.Philox())
     rng.bit_generator.state = {
         "bit_generator": "Philox",
         "state": {
-            "counter": _ZEROS4,
-            "key": np.array(
-                [frame_index & _MASK64, seed & _MASK64], dtype=np.uint64
-            ),
+            "counter": (0, 0, 0, 0),
+            "key": (frame_index & _MASK64, seed & _MASK64),
         },
-        "buffer": _ZEROS4,
+        "buffer": (0, 0, 0, 0),
         "buffer_pos": 4,
         "has_uint32": 0,
         "uinteger": 0,
@@ -99,6 +102,11 @@ def draw_frame(rng: np.random.Generator, n_tx: int, config: SystemConfig) -> Fra
     those starts and steps over the blocked runs below it, so no draw is
     ever rejected; a first copy that leaves a later one no room at all
     raises PlacementImpossibleError.
+
+    Each earlier copy blocks at most ``2*tau - 1`` starts, so c earlier
+    copies leave at least ``positions - c*(2*tau - 1)`` free. The room
+    check therefore runs only where that bound reaches zero, which no
+    geometry of the paper does.
     """
     if n_tx < 0:
         raise InvalidParameterError(f"n_tx must be >= 0, got {n_tx}")
@@ -124,7 +132,7 @@ def draw_frame(rng: np.random.Generator, n_tx: int, config: SystemConfig) -> Fra
         free = positions - width[:, 0]
         for j in range(1, c):
             free -= width[:, j]
-        if not free.all():
+        if positions <= c * (2 * tau - 1) and not free.all():
             raise PlacementImpossibleError(
                 f"a packet's first {c} copies leave copy {c + 1} of "
                 f"{config.copies} no room: bursts of {tau} symbols in a "
@@ -133,7 +141,7 @@ def draw_frame(rng: np.random.Generator, n_tx: int, config: SystemConfig) -> Fra
         # rank -> start: step over every blocked run at or below it
         x = rng.integers(0, free)
         for j in range(c):
-            x += width[:, j] * (x >= lo[:, j])
+            np.add(x, width[:, j], out=x, where=x >= lo[:, j])
         starts[:, c] = x
     return Frame(starts)
 
@@ -141,23 +149,39 @@ def draw_frame(rng: np.random.Generator, n_tx: int, config: SystemConfig) -> Fra
 def per_copy_interference(frame: Frame, config: SystemConfig) -> np.ndarray:
     """Aggregate overlap on each copy from all other packets' copies.
 
-    Sorted sweep with prefix sums, O(B log B) in the copy count B. All
-    arithmetic is integer, so the result is exact. The sweep counts every
-    other copy in the frame, so it needs the precondition draw_frame
+    All arithmetic is integer, so the result is exact. Both paths count
+    every other copy in the frame, so they need the precondition draw_frame
     guarantees: copies of the same packet never overlap. It draws no random
     numbers: a frame's interference follows from the starts its own
     counter-based stream placed, whether that stream came from a fresh or a
     re-keyed Generator (see frame_rng).
 
-    In sorted order, copy k at start s sees the copies lo..k-1 below it and
-    k+1..hi-1 above it within distance < tau; with prefix sums P of the
-    sorted starts, their summed overlap is the single expression
-    ``tau*(hi-lo-1) + s*(hi+lo-2k-1) + (P[k]-P[lo]) - (P[hi]-P[k+1])``.
-    One search finds lo and hi together: they are the ranks of the keys
-    ``s - tau + 1`` and ``s + tau`` among the starts, and the expression is
-    evaluated in place over those keys as
+    Which path runs depends only on the copy count B. Both give the same
+    integers, so the choice never reaches the output.
+
+    Up to ``_ALL_PAIRS_MAX`` copies, all pairs, O(B^2): two copies d apart
+    overlap ``tau - min(|d|, tau)`` symbols, and a copy's own pair (d = 0)
+    adds tau, so copy k sees ``(B-1)*tau - sum_j min(|s_k - s_j|, tau)``.
+    That is five numpy calls on a B x B matrix. The sweep below costs some
+    25 calls whatever B is, and per-call overhead, not arithmetic, sets a
+    small frame's cost, so the matrix stays the cheaper path up to the
+    80-odd copies where the two break even (measured from 32 to 128
+    copies). The empty frame takes this path too: its 0 x 0 matrix sums to
+    the empty result.
+
+    Above it, a sorted sweep with prefix sums, O(B log B). In sorted order,
+    copy k at start s sees the copies lo..k-1 below it and k+1..hi-1 above
+    it within distance < tau; with prefix sums P of the sorted starts,
+    their summed overlap is the single expression
+    ``tau*(hi-lo-1) + s*(hi+lo-2k-1) + (P[k]-P[lo]) - (P[hi]-P[k+1])``,
+    evaluated in place as
     ``(s-tau+1)*lo - P[lo] + (s+tau)*hi - P[hi] - lo``
     ``+ P[k] + P[k+1] - (2k+1)*s - tau``.
+    One search finds lo, the rank of the key ``s - tau + 1`` among the
+    starts. hi, the rank of ``s + tau``, follows by counting:
+    ``hi[k] = #{j : lo[j] <= k}``, a bincount of lo summed cumulatively,
+    because on sorted integers (ties included)
+    ``s_j < s_k + tau  <=>  s_k >= s_j - tau + 1  <=>  k >= lo[j]``.
 
     The sort need not be stable. Copies that share a start s sit next to
     each other in any order, see the same lo and hi, and the expression
@@ -167,26 +191,32 @@ def per_copy_interference(frame: Frame, config: SystemConfig) -> np.ndarray:
     tau = config.burst_len
     flat = frame.starts.reshape(-1)
     n = flat.shape[0]
-    if n == 0:
-        return np.zeros_like(frame.starts)
+    if n <= _ALL_PAIRS_MAX:
+        d = flat[:, None] - flat
+        np.abs(d, out=d)
+        np.minimum(d, tau, out=d)
+        return ((n - 1) * tau - d.sum(axis=1)).reshape(frame.starts.shape)
     order = flat.argsort()
     s = flat[order]
     prefix = np.zeros(n + 1, dtype=np.int64)
     s.cumsum(out=prefix[1:])
-    keys = np.empty((2, n), dtype=np.int64)
-    np.subtract(s, tau - 1, out=keys[0])
-    np.add(s, tau, out=keys[1])
-    lohi = s.searchsorted(keys)
+    key = s - (tau - 1)
+    lo = s.searchsorted(key)
+    hi = np.bincount(lo, minlength=n)
+    hi.cumsum(out=hi)
     # P[k] + P[k+1] - (2k+1)*s - lo - tau
     total = prefix[:-1] + prefix[1:]
     total -= np.arange(1, 2 * n, 2) * s
-    total -= lohi[0]
+    total -= lo
     total -= tau
-    # (s-tau+1)*lo - P[lo] and (s+tau)*hi - P[hi]
-    keys *= lohi
-    keys -= prefix[lohi]
-    total += keys[0]
-    total += keys[1]
+    # (s-tau+1)*lo - P[lo], then (s+tau)*hi - P[hi], in the key buffer
+    key *= lo
+    key -= prefix[lo]
+    total += key
+    np.add(s, tau, out=key)
+    key *= hi
+    key -= prefix[hi]
+    total += key
     out = np.empty(n, dtype=np.int64)
     out[order] = total
     return out.reshape(frame.starts.shape)

@@ -629,3 +629,14 @@ class TestInterferencePmfValidation:
     def test_truncation_bounds(self):
         with pytest.raises(InvalidParameterError):
             InterferencePmf(geometry(64, 3), 1, np.ones(4) / 4.0, truncated_at=3)
+
+    @pytest.mark.parametrize(
+        "dp_count, probs, truncated_at",
+        [(0, [np.nan], None), (1, [0.5, np.nan, 0.1], 2)],
+        ids=["untruncated", "truncated"],
+    )
+    def test_non_finite_mass_rejected(self, dp_count, probs, truncated_at):
+        # NaN compares False against every bound, so only a finiteness check
+        # keeps it out of p_copy_decoded
+        with pytest.raises(InvalidParameterError):
+            InterferencePmf(SystemConfig(1000, 10), dp_count, probs, truncated_at)

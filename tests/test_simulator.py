@@ -34,7 +34,12 @@ from divaloha import (
 from divaloha import analytic, harness, simulator
 from divaloha.analytic import MAX_FOLD_STEPS
 from divaloha.harness import EXIT_OK, EXIT_RUNTIME, EXIT_USAGE, main
-from divaloha.simulator import MAX_FRAME_COPIES, RNG_STREAM_RULE, _frames_lost
+from divaloha.simulator import (
+    _ALL_PAIRS_MAX,
+    MAX_FRAME_COPIES,
+    RNG_STREAM_RULE,
+    _frames_lost,
+)
 
 LINK_10DB = LinkModel.from_parameters(4, 0.5, 10.0, 100)
 
@@ -113,6 +118,29 @@ class TestFrameRngRekey:
             for f in range(40, 90)
         ]
         assert _frames_lost(config, budget, 30, 9, 40, 90).tolist() == want
+
+
+PER_FRAME = ("frame_rng", "draw_frame", "per_copy_interference", "decode_frame")
+
+
+def test_frames_lost_calls_each_stage_once_per_frame_in_order(monkeypatch):
+    # the traced benchmark times these four module globals inside this loop
+    # and counts one call of each per frame, so a stage that is inlined,
+    # batched or skipped must fail here first
+    calls = []
+    for name in PER_FRAME:
+        def counted(*args, _real=getattr(simulator, name), _name=name):
+            calls.append((_name, args[1] if _name == "frame_rng" else None))
+            return _real(*args)
+
+        monkeypatch.setattr(simulator, name, counted)
+    config = SystemConfig(frame_len=20000, burst_len=1000)
+    _frames_lost(config, LINK_10DB.budget, 30, 9, 40, 47)
+    assert calls == [
+        (name, f if name == "frame_rng" else None)
+        for f in range(40, 47)
+        for name in PER_FRAME
+    ]
 
 
 # sha256 of the simulate CSV under RNG_STREAM_RULE v2. These pin the stream
@@ -285,6 +313,51 @@ class TestRankPlacement:
             draw_frame(rng, 1, config)
         assert len(rng.highs) == 1
 
+    @pytest.mark.parametrize(
+        "copies, frame_len, tau",
+        # positions == (copies - 1)*(2*tau - 1) + 1: the smallest frames in
+        # which draw_frame skips the room check for the last copy
+        [(2, 11, 4), (3, 18, 4), (4, 25, 4)],
+    )
+    def test_every_rank_lands_on_an_admissible_start(self, copies, frame_len, tau):
+        config = SystemConfig(frame_len=frame_len, burst_len=tau, copies=copies)
+        # every admissible placement of the earlier copies, with the rank
+        # each of them is drawn at
+        prefixes = [([s0], [s0]) for s0 in range(config.start_positions)]
+        for _ in range(copies - 2):
+            prefixes = [
+                (starts + [x], draws + [r])
+                for starts, draws in prefixes
+                for r, x in enumerate(admissible(config, starts))
+            ]
+        for starts, draws in prefixes:
+            want = admissible(config, starts)
+            n = len(want)
+            rng = ScriptedRng(*[np.full(n, d) for d in draws], np.arange(n))
+            frame = draw_frame(rng, n, config)
+            assert np.array_equal(rng.highs[-1], np.full(n, n))
+            assert np.array_equal(frame.starts[:, :-1], np.tile(starts, (n, 1)))
+            assert frame.starts[:, -1].tolist() == want
+
+    @pytest.mark.parametrize(
+        "copies, frame_len, script",
+        [
+            # positions == c*(2*tau - 1) at tau 4: a first copy at 3 blocks
+            # all 7 starts; a second copy at 10 (rank 3) the 7 left after it
+            (2, 10, [[3]]),
+            (3, 17, [[3], [3]]),
+        ],
+    )
+    def test_no_room_at_the_room_bound_raises_before_drawing(
+        self, copies, frame_len, script
+    ):
+        config = SystemConfig(frame_len=frame_len, burst_len=4, copies=copies)
+        assert config.start_positions == (copies - 1) * (2 * 4 - 1)
+        rng = ScriptedRng(*script)
+        with pytest.raises(PlacementImpossibleError):
+            draw_frame(rng, 1, config)
+        assert len(rng.highs) == copies - 1
+
 
 class TestPairwiseOverlap:
     @pytest.mark.parametrize(
@@ -297,6 +370,14 @@ class TestPairwiseOverlap:
         frame = Frame(np.array([[a], [b]], dtype=np.int64))
         assert per_copy_interference(frame, config).tolist() == [[expected]] * 2
         assert per_copy_interference_brute(frame, config).tolist() == [[expected]] * 2
+
+
+# packets per frame on each side of the all-pairs cutoff: the largest frame
+# of 1, 2 and 3 copies per packet at or below _ALL_PAIRS_MAX copies, and the
+# smallest above it
+CUTOFF_N_TX = sorted(
+    {m for c in (1, 2, 3) for m in (_ALL_PAIRS_MAX // c, _ALL_PAIRS_MAX // c + 1)}
+)
 
 
 class TestPerCopyInterference:
@@ -321,7 +402,7 @@ class TestPerCopyInterference:
         assert per_copy_interference(frame, config).shape == (0, 2)
 
     @pytest.mark.parametrize("copies", [1, 2, 3])
-    @pytest.mark.parametrize("n_tx", [1, 7, 40])
+    @pytest.mark.parametrize("n_tx", [1, 7, 40, *CUTOFF_N_TX, 400])
     def test_sweep_matches_brute_on_random_frames(self, copies, n_tx):
         config = SystemConfig(frame_len=2000, burst_len=60, copies=copies)
         for f in range(25):
@@ -335,14 +416,19 @@ class TestPerCopyInterference:
 @st.composite
 def edge_frames(draw):
     """Valid frames at the sweep's edge geometries: unit bursts, copies
-    packed end to end in the frame, and a lone packet."""
+    packed end to end in the frame, and a lone packet. Unit-burst and packed
+    frames reach twice the all-pairs cutoff, so ties and frame edges meet
+    both overlap paths."""
     kind = draw(st.sampled_from(["unit_burst", "packed", "lone_packet"]))
     copies = draw(st.integers(1, 3))
     tau = 1 if kind == "unit_burst" else draw(st.integers(1, 12))
     frame_len = copies * tau
     if kind != "packed":
         frame_len += draw(st.integers(0, 40))
-    n_tx = 1 if kind == "lone_packet" else draw(st.integers(1, 8))
+    if kind == "lone_packet":
+        n_tx = 1
+    else:
+        n_tx = draw(st.integers(1, 2 * _ALL_PAIRS_MAX // copies))
     config = SystemConfig(frame_len=frame_len, burst_len=tau, copies=copies)
     # sorted slacks plus i*tau keep a packet's copies >= tau apart in frame
     slack = config.start_positions - 1 - (copies - 1) * tau
