@@ -5,6 +5,7 @@ import hashlib
 import os
 import subprocess
 import sys
+import types
 
 import numpy as np
 import pytest
@@ -36,6 +37,7 @@ from divaloha.analytic import MAX_FOLD_STEPS
 from divaloha.harness import EXIT_OK, EXIT_RUNTIME, EXIT_USAGE, main
 from divaloha.simulator import (
     _ALL_PAIRS_MAX,
+    BLOCK_COPIES,
     MAX_FRAME_COPIES,
     RNG_STREAM_RULE,
     _frames_lost,
@@ -44,70 +46,123 @@ from divaloha.simulator import (
 LINK_10DB = LinkModel.from_parameters(4, 0.5, 10.0, 100)
 
 
+def frames(seed, frame_indices, n_tx, config):
+    """Starts of each frame in turn, drawn through one reused stream."""
+    out = []
+    stream = None
+    for f in frame_indices:
+        stream = frame_rng(seed, f, stream)
+        out.append(draw_frame(stream, n_tx, config).starts.copy())
+    return out
+
+
+def block_size(n_tx, copies):
+    """K of the v3 stream rule, spelled out."""
+    return max(1, BLOCK_COPIES // (n_tx * copies))
+
+
+def reference_block(seed, block, n_tx, config):
+    """Block ``block`` of ``seed`` by the v3 rule, keyed independently of
+    frame_rng: one placement of K * n_tx packets under Philox key
+    ``(seed << 64) | block``. With one copy per packet the placement is the
+    single uniform draw of the first copies."""
+    k = block_size(n_tx, config.copies)
+    gen = np.random.Generator(np.random.Philox(key=(seed << 64) | block))
+    if config.copies == 1:
+        return gen.integers(0, config.start_positions, size=k * n_tx)[:, None]
+    return simulator._place(gen, k * n_tx, config)
+
+
+def reference_frame(seed, f, n_tx, config):
+    block, row = divmod(f, block_size(n_tx, config.copies))
+    return reference_block(seed, block, n_tx, config)[row * n_tx : (row + 1) * n_tx]
+
+
 def test_frame_rng_is_reproducible():
-    a = frame_rng(123, 7).integers(0, 1 << 30, size=8)
-    b = frame_rng(123, 7).integers(0, 1 << 30, size=8)
-    c = frame_rng(123, 8).integers(0, 1 << 30, size=8)
+    config = SystemConfig(frame_len=3000, burst_len=100)
+    a = draw_frame(frame_rng(123, 7), 8, config).starts
+    b = draw_frame(frame_rng(123, 7), 8, config).starts
+    c = draw_frame(frame_rng(123, 8), 8, config).starts
     assert np.array_equal(a, b)
     assert not np.array_equal(a, c)
 
 
 def dirty_generators():
-    """Generators whose state is mid-stream, not freshly keyed."""
-    odd = frame_rng(5, 1)
+    """Philox Generators whose state is mid-stream, not freshly keyed."""
+    odd = np.random.Generator(np.random.Philox(key=5))
     for _ in range(3):
         odd.integers(0, 1000)  # leaves a buffered uint32
     assert odd.bit_generator.state["has_uint32"] == 1
-    partial = frame_rng(6, 2)
+    partial = np.random.Generator(np.random.Philox(key=6))
     partial.random(3)  # leaves a partly used 64-bit buffer
     assert partial.bit_generator.state["buffer_pos"] < 4
     return [odd, partial]
 
 
 class TestFrameRngRekey:
+    """RNG_STREAM_RULE v3: one Philox key per block of K frames, frame f is
+    its rows of block f // K."""
+
     @pytest.mark.parametrize("copies", [1, 2, 3])
     def test_rekeyed_draws_match_fresh(self, copies):
+        # one stream reused across blocks and seeds, back and forth
         config = SystemConfig(frame_len=3000, burst_len=100, copies=copies)
-        for rng in dirty_generators():
-            for seed, f in [(7, 0), (7, 1), ((1 << 64) - 1, (1 << 64) - 1)]:
-                rekeyed = frame_rng(seed, f, rng)
-                assert rekeyed is rng
-                got = draw_frame(rekeyed, 20, config).starts
-                want = draw_frame(frame_rng(seed, f), 20, config).starts
-                assert np.array_equal(got, want)
+        k = block_size(20, copies)
+        top = (1 << 64) - 1
+        visits = [(7, 0), (7, k), (8, k), (7, k - 1), (7, 0), (7, 1), (top, top)]
+        stream = None
+        for seed, f in visits:
+            stream = frame_rng(seed, f, stream)
+            got = draw_frame(stream, 20, config).starts
+            want = draw_frame(frame_rng(seed, f), 20, config).starts
+            assert np.array_equal(got, want)
 
     def test_rekey_resets_buffers(self):
+        # a stream handed a mid-stream Generator still places the keyed block
+        config = SystemConfig(frame_len=3000, burst_len=100)
         for rng in dirty_generators():
-            rekeyed = frame_rng(3, 4, rng)
-            fresh = frame_rng(3, 4)
-            state = rekeyed.bit_generator.state
-            assert state["state"]["key"].tolist() == [4, 3]
-            assert state["state"]["counter"].tolist() == [0, 0, 0, 0]
-            assert (state["buffer_pos"], state["has_uint32"]) == (4, 0)
-            # scalar draws take the buffered-uint32 path, raw the 64-bit one
-            draws = [
-                ([int(gen.integers(0, 1000)) for _ in range(3)],
-                 gen.bit_generator.random_raw(6).tolist())
-                for gen in (rekeyed, fresh)
-            ]
-            assert draws[0] == draws[1]
+            stream = simulator.FrameStream(rng)
+            got = draw_frame(frame_rng(3, 4, stream), 20, config).starts
+            assert np.array_equal(got, reference_frame(3, 4, 20, config))
+            state = rng.bit_generator.state
+            assert state["state"]["key"].tolist() == [0, 3]
 
     @pytest.mark.parametrize(
         "seed, f",
         [(0, 0), (7, 1), (1 << 63, 12345), ((1 << 64) - 1, (1 << 64) - 1)],
     )
     def test_key_matches_reference_philox(self, seed, f):
-        # the keying rule, spelled out independently of frame_rng
-        def draws(gen):
-            return gen.integers(0, 1000, size=3).tolist(), gen.random(2).tolist()
+        for copies in (1, 2):
+            config = SystemConfig(frame_len=3000, burst_len=100, copies=copies)
+            want = reference_frame(seed, f, 20, config)
+            got = draw_frame(frame_rng(seed, f), 20, config).starts
+            assert np.array_equal(got, want)
+            for rng in dirty_generators():
+                stream = frame_rng(seed, f, simulator.FrameStream(rng))
+                assert np.array_equal(draw_frame(stream, 20, config).starts, want)
 
-        want = draws(np.random.Generator(np.random.Philox(key=(seed << 64) | f)))
-        assert draws(frame_rng(seed, f)) == want
-        for rng in dirty_generators():
-            assert draws(frame_rng(seed, f, rng)) == want
+    @pytest.mark.parametrize("n_tx, copies", [(1, 1), (30, 2), (7, 3)])
+    def test_block_edge(self, n_tx, copies):
+        # frame K - 1 is the last rows of block 0, frame K the first of block 1
+        config = SystemConfig(frame_len=3000, burst_len=100, copies=copies)
+        k = block_size(n_tx, copies)
+        last, first = frames(9, [k - 1, k], n_tx, config)
+        assert np.array_equal(last, reference_block(9, 0, n_tx, config)[-n_tx:])
+        assert np.array_equal(first, reference_block(9, 1, n_tx, config)[:n_tx])
+
+    @pytest.mark.parametrize("n_tx, copies", [(1, 1), (30, 2), (7, 3)])
+    def test_block_rows_used_once(self, n_tx, copies):
+        # the K frames of a block, in order, are exactly the block's rows
+        config = SystemConfig(frame_len=3000, burst_len=100, copies=copies)
+        k = block_size(n_tx, copies)
+        block = np.concatenate(frames(4, range(k, 2 * k), n_tx, config))
+        assert np.array_equal(block, reference_block(4, 1, n_tx, config))
 
     def test_chunk_matches_fresh_frames(self):
+        # 30 packets of 2 copies: blocks of 136 frames, so the chunk crosses
+        # two block edges
         config = SystemConfig(frame_len=20000, burst_len=1000)
+        assert block_size(30, 2) == 136
         budget = LINK_10DB.budget
         want = [
             decode_frame(
@@ -115,9 +170,54 @@ class TestFrameRngRekey:
                 budget,
                 config.copies,
             )
-            for f in range(40, 90)
+            for f in range(120, 290)
         ]
-        assert _frames_lost(config, budget, 30, 9, 40, 90).tolist() == want
+        assert _frames_lost(config, budget, 30, 9, 120, 290).tolist() == want
+
+
+class CountingProxy:
+    """Forwards every attribute of a stream and counts the values returned
+    by method calls, as a benchmark's counting wrapper does."""
+
+    def __init__(self, inner):
+        self._inner = inner
+        self.values = 0
+
+    def __getattr__(self, name):
+        attr = getattr(self._inner, name)
+        if not callable(attr):
+            return attr
+
+        def counted(*args, **kwargs):
+            out = attr(*args, **kwargs)
+            if isinstance(out, (int, float, np.generic, np.ndarray)):
+                self.values += int(np.size(out))
+            return out
+
+        return counted
+
+
+@pytest.mark.parametrize("n_tx, copies", [(6, 2), (30, 3), (600, 2)])
+def test_draw_frame_through_counting_proxy(n_tx, copies):
+    # draw_frame is duck-typed: a forwarding proxy gets the same frame and
+    # sees n_tx * copies values, one per start
+    config = SystemConfig(frame_len=20000, burst_len=10, copies=copies)
+    for f in (0, 5, block_size(n_tx, copies)):
+        proxy = CountingProxy(frame_rng(11, f))
+        got = draw_frame(proxy, n_tx, config).starts
+        assert np.array_equal(got, draw_frame(frame_rng(11, f), n_tx, config).starts)
+        assert proxy.values == n_tx * copies
+
+
+def test_frame_starts_are_read_only():
+    config = SystemConfig(frame_len=3000, burst_len=100)
+    stream = frame_rng(1, 0)
+    frame = draw_frame(stream, 10, config)
+    with pytest.raises(ValueError):
+        frame.starts[0, 0] = 0
+    # the next frame of the same block is unchanged by the attempt
+    again = draw_frame(frame_rng(1, 0, stream), 10, config)
+    assert np.array_equal(again.starts, reference_frame(1, 0, 10, config))
 
 
 PER_FRAME = ("frame_rng", "draw_frame", "per_copy_interference", "decode_frame")
@@ -125,8 +225,11 @@ PER_FRAME = ("frame_rng", "draw_frame", "per_copy_interference", "decode_frame")
 
 def test_frames_lost_calls_each_stage_once_per_frame_in_order(monkeypatch):
     # the traced benchmark times these four module globals inside this loop
-    # and counts one call of each per frame, so a stage that is inlined,
-    # batched or skipped must fail here first
+    # and counts calls per frame: the rule is one call of each stage per
+    # frame, in order. A call may amortize its work over a block (the draw
+    # places a block of frames once), but a stage that is inlined, batched
+    # into fewer calls or skipped must fail here first. Frames 130-141
+    # cross the edge of the 136-frame blocks of 30 two-copy packets.
     calls = []
     for name in PER_FRAME:
         def counted(*args, _real=getattr(simulator, name), _name=name):
@@ -135,32 +238,32 @@ def test_frames_lost_calls_each_stage_once_per_frame_in_order(monkeypatch):
 
         monkeypatch.setattr(simulator, name, counted)
     config = SystemConfig(frame_len=20000, burst_len=1000)
-    _frames_lost(config, LINK_10DB.budget, 30, 9, 40, 47)
+    _frames_lost(config, LINK_10DB.budget, 30, 9, 130, 141)
     assert calls == [
         (name, f if name == "frame_rng" else None)
-        for f in range(40, 47)
+        for f in range(130, 141)
         for name in PER_FRAME
     ]
 
 
-# sha256 of the simulate CSV under RNG_STREAM_RULE v2. These pin the stream
+# sha256 of the simulate CSV under RNG_STREAM_RULE v3. These pin the stream
 # bytes: only a deliberate, CHANGES-logged bump of RNG_STREAM_RULE may
 # update them, together with its version tag.
-GOLDEN_V2 = [
+GOLDEN_V3 = [
     (
         ["--tf", "20000", "--tau", "1000"],
-        "40966c18cbfc67fc2156b29f99554c9149d6a067d488c182f267ad889d8c7988",
+        "eacde3c43122b026ae1f00b517de40bee8e90f0ff54d586bee21f3efbeff3960",
     ),
     (
         ["--copies", "3", "--tf", "3000", "--tau", "100"],
-        "dec05866629029034682352cf783ca7139a127e92c8ad5e962d6558d8af77a72",
+        "fcd30b1f8cbcd41e5e2ca1fa26626ed2cd5b64531ec14779591223973cdaf3c0",
     ),
 ]
 
 
-@pytest.mark.parametrize("geometry,digest", GOLDEN_V2, ids=["r20", "copies3"])
-def test_stream_rule_v2_golden_bytes(geometry, digest, capsys):
-    assert RNG_STREAM_RULE.startswith("v2:")
+@pytest.mark.parametrize("geometry,digest", GOLDEN_V3, ids=["r20", "copies3"])
+def test_stream_rule_v3_golden_bytes(geometry, digest, capsys):
+    assert RNG_STREAM_RULE.startswith("v3:")
     argv = ["simulate", *geometry, "--loads", "0.3,1.5", "--rounds", "200", "--seed", "7"]
     assert main(argv) == EXIT_OK
     out = capsys.readouterr().out
@@ -169,24 +272,24 @@ def test_stream_rule_v2_golden_bytes(geometry, digest, capsys):
 
 # The same pin for the big frames (600 packets at 200000/500, load 1.5),
 # where the per-copy sweep does its largest sorts and searches.
-GOLDEN_V2_BIG_FRAMES = [
+GOLDEN_V3_BIG_FRAMES = [
     (
         ["simulate", "--tf", "200000", "--tau", "500", "--copies", "2"],
-        "5681dba2cb34b3c32f1aaad03e2b9d93f4ebd5d639858b4c085de431820ac591",
+        "e6bfbb8118e1ac2bb06a2311afd2ae487cd4f238226a27521a0db7e30c9ebd7f",
     ),
     (
         ["compare", "--tf", "100000", "--tau", "1000"],
-        "2f5b0516f39767f6a13a89c80dd8247b99cdd0ee1117fb70f3a05b64b6aaae0e",
+        "5ccc0a8558b2a31239ea8d5c533706e900c47c7719172065d864a92b57c18e34",
     ),
 ]
 
 
 @pytest.mark.parametrize("workers", ["1", "2"])
 @pytest.mark.parametrize(
-    "command,digest", GOLDEN_V2_BIG_FRAMES, ids=["simulate-r400", "compare-r100"]
+    "command,digest", GOLDEN_V3_BIG_FRAMES, ids=["simulate-r400", "compare-r100"]
 )
-def test_stream_rule_v2_golden_bytes_big_frames(command, digest, workers, capsys):
-    assert RNG_STREAM_RULE.startswith("v2:")
+def test_stream_rule_v3_golden_bytes_big_frames(command, digest, workers, capsys):
+    assert RNG_STREAM_RULE.startswith("v3:")
     argv = [*command, "--loads", "0.3,1.5", "--rounds", "40", "--seed", "7",
             "--workers", workers]
     assert main(argv) == EXIT_OK
@@ -255,11 +358,13 @@ class TestDrawFrame:
 
 class ScriptedRng:
     """Stands in for a Generator: each ``integers`` call returns the next
-    scripted array and records the upper bounds it was asked for."""
+    scripted array and records the upper bounds it was asked for. Its
+    ``bit_generator.state`` keeps the last state a stream keyed it with."""
 
     def __init__(self, *outputs):
         self.outputs = list(outputs)
         self.highs = []
+        self.bit_generator = types.SimpleNamespace(state=None)
 
     def integers(self, low, high, size=None):
         assert low == 0
@@ -278,7 +383,8 @@ def admissible(config, earlier):
 
 
 class TestRankPlacement:
-    """Every rank 0..free-1 maps to exactly the admissible starts, in order."""
+    """Every rank 0..free-1 maps to exactly the admissible starts, in order.
+    The placement takes one ``integers`` call per copy, whatever the block."""
 
     CONFIG = dict(frame_len=40, burst_len=5)
 
@@ -288,10 +394,10 @@ class TestRankPlacement:
             want = admissible(config, [s0])
             n = len(want)
             rng = ScriptedRng(np.full(n, s0), np.arange(n))
-            frame = draw_frame(rng, n, config)
+            starts = simulator._place(rng, n, config)
             assert np.array_equal(rng.highs[0], np.full(n, config.start_positions))
             assert np.array_equal(rng.highs[1], np.full(n, n))
-            assert frame.starts[:, 1].tolist() == want
+            assert starts[:, 1].tolist() == want
 
     def test_three_copies(self):
         config = SystemConfig(copies=3, **self.CONFIG)
@@ -301,22 +407,22 @@ class TestRankPlacement:
                 want = admissible(config, [s0, s1])
                 n = len(want)
                 rng = ScriptedRng(np.full(n, s0), np.full(n, rank1), np.arange(n))
-                frame = draw_frame(rng, n, config)
+                starts = simulator._place(rng, n, config)
                 assert np.array_equal(rng.highs[2], np.full(n, n))
-                assert np.all(frame.starts[:, 1] == s1)
-                assert frame.starts[:, 2].tolist() == want
+                assert np.all(starts[:, 1] == s1)
+                assert starts[:, 2].tolist() == want
 
     def test_no_room_raises_before_drawing(self):
         config = SystemConfig(frame_len=100, burst_len=50)
         rng = ScriptedRng([25])
         with pytest.raises(PlacementImpossibleError):
-            draw_frame(rng, 1, config)
+            simulator._place(rng, 1, config)
         assert len(rng.highs) == 1
 
     @pytest.mark.parametrize(
         "copies, frame_len, tau",
         # positions == (copies - 1)*(2*tau - 1) + 1: the smallest frames in
-        # which draw_frame skips the room check for the last copy
+        # which the placement skips the room check for the last copy
         [(2, 11, 4), (3, 18, 4), (4, 25, 4)],
     )
     def test_every_rank_lands_on_an_admissible_start(self, copies, frame_len, tau):
@@ -334,10 +440,10 @@ class TestRankPlacement:
             want = admissible(config, starts)
             n = len(want)
             rng = ScriptedRng(*[np.full(n, d) for d in draws], np.arange(n))
-            frame = draw_frame(rng, n, config)
+            placed = simulator._place(rng, n, config)
             assert np.array_equal(rng.highs[-1], np.full(n, n))
-            assert np.array_equal(frame.starts[:, :-1], np.tile(starts, (n, 1)))
-            assert frame.starts[:, -1].tolist() == want
+            assert np.array_equal(placed[:, :-1], np.tile(starts, (n, 1)))
+            assert placed[:, -1].tolist() == want
 
     @pytest.mark.parametrize(
         "copies, frame_len, script",
@@ -355,8 +461,30 @@ class TestRankPlacement:
         assert config.start_positions == (copies - 1) * (2 * 4 - 1)
         rng = ScriptedRng(*script)
         with pytest.raises(PlacementImpossibleError):
-            draw_frame(rng, 1, config)
+            simulator._place(rng, 1, config)
         assert len(rng.highs) == copies - 1
+
+    @pytest.mark.parametrize("copies", [1, 2, 3])
+    def test_block_of_frames_makes_one_call_per_copy(self, copies):
+        # the K frames of a block share one placement: `copies` integers
+        # calls for the block, and `copies` more at frame K, under key 1
+        config = SystemConfig(copies=copies, **self.CONFIG)
+        n_tx = 3
+        k = BLOCK_COPIES // (n_tx * copies)
+        first = np.arange(k * n_tx) % config.start_positions
+        script = [first, *[np.zeros(k * n_tx)] * (copies - 1)]
+        rng = ScriptedRng(*script, *script)
+        stream = simulator.FrameStream(rng)
+        for f in range(k):
+            frame = draw_frame(frame_rng(5, f, stream), n_tx, config)
+            want = first[f * n_tx : (f + 1) * n_tx]
+            assert np.array_equal(frame.starts[:, 0], want)
+        assert [h.shape for h in rng.highs] == [(k * n_tx,)] * copies
+        assert rng.bit_generator.state["state"]["key"] == (0, 5)
+        draw_frame(frame_rng(5, k, stream), n_tx, config)
+        assert len(rng.highs) == 2 * copies
+        assert rng.bit_generator.state["state"]["key"] == (1, 5)
+        assert rng.outputs == []
 
 
 class TestPairwiseOverlap:
@@ -682,6 +810,31 @@ class TestFrameCopyBound:
         over = (MAX_FRAME_COPIES // 2 + 1) / MAX_FRAME_COPIES
         with pytest.raises(WorkBoundError):
             estimate_point(config, LINK_10DB, over, 1, seed=1)
+
+    def test_block_never_exceeds_the_larger_of_block_and_frame(self, monkeypatch):
+        # a spy stands in for the placement and records the block it is
+        # asked for, so nothing is allocated at the bound
+        class Placed(Exception):
+            pass
+
+        asked = []
+
+        def spy(rng, n_tx, config):
+            asked.append(n_tx)
+            raise Placed
+
+        monkeypatch.setattr(simulator, "_place", spy)
+        config = SystemConfig(frame_len=MAX_FRAME_COPIES, burst_len=1)
+        at_bound = MAX_FRAME_COPIES // config.copies
+        for n_tx in (1, 7, BLOCK_COPIES // 4, BLOCK_COPIES // 4 + 1, at_bound):
+            with pytest.raises(Placed):
+                draw_frame(frame_rng(1, 3), n_tx, config)
+            assert asked[-1] * config.copies <= max(BLOCK_COPIES, n_tx * config.copies)
+        # from half a block of copies up, a frame is its own block
+        assert asked[-2:] == [BLOCK_COPIES // 4 + 1, at_bound]
+        with pytest.raises(Placed):
+            estimate_point(config, LINK_10DB, 0.5, 10, seed=1)
+        assert asked[-1] == at_bound
 
     @pytest.mark.parametrize("tf", ["1000000000", "1000000000000000000"])
     def test_cli_refuses_huge_frame(self, tf, no_placement, capsys):
