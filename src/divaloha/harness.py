@@ -34,7 +34,13 @@ from .errors import (
     PlacementImpossibleError,
 )
 from .link import LinkModel
-from .simulator import RNG_ALGORITHM, RNG_STREAM_RULE, _require_frame_bound, sweep
+from .simulator import (
+    RNG_ALGORITHM,
+    RNG_STREAM_RULE,
+    _require_frame_bound,
+    _require_rounds_bound,
+    sweep,
+)
 
 EXIT_OK = 0
 EXIT_COMPARE_FAILED = 1
@@ -379,9 +385,12 @@ def build_rows(spec: RunSpec) -> tuple[list[dict], str | None]:
     link = spec.link_model()
     rows = [dict.fromkeys(CSV_COLUMNS) for _ in spec.loads]
 
-    # refuse an over-bound load before any analytic or simulated work
+    # refuse an over-bound load or frame count before any analytic or
+    # simulated work
     for g in spec.loads:
         _require_frame_bound(config, g)
+    if spec.mode in ("simulate", "compare"):
+        _require_rounds_bound(spec.rounds)
     if spec.mode in ("analytic", "compare"):
         for row, pt in zip(rows, analytic_curve(config, link, spec.loads)):
             row["G"] = pt.load

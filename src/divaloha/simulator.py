@@ -46,12 +46,17 @@ RNG_STREAM_RULE = (
 # holds for the block too.
 MAX_FRAME_COPIES = 1 << 20
 
+# Work bound: estimate_point refuses more simulated frames per load than
+# this before it allocates or places anything. It counts frames, not
+# copies: the cheapest frame (a few packets at 20000/1000) costs 7-9 us on
+# a 2-core x86 host, so a load at the bound takes at least 8 s and keeps an
+# 8 MiB array of per-frame losses, and the paper's largest frames (600
+# packets at 200000/500, some 150 us) take about 3 min. It still allows the
+# million frames that a tight error bar at low loss needs.
+MAX_ROUNDS = 1 << 20
+
 _MASK64 = (1 << 64) - 1
-# frames of at most this many copies take the all-pairs overlap, larger ones
-# the sorted sweep (see per_copy_interference). Measured on fresh 20000/1000
-# frames, alternating the paths: all pairs won 14-15 of 15 at 32-56 copies,
-# 15-21 of 21 at 64-76, broke even at 80-88 and lost every one at 96 and 128.
-_ALL_PAIRS_MAX = 76
+_INT64_MAX = (1 << 63) - 1
 
 
 class FrameStream:
@@ -61,17 +66,19 @@ class FrameStream:
     placement between them.
 
     ``rng`` is the Philox-backed Generator it re-keys for each block; a new
-    one by default.
+    one by default. ``block`` and ``row`` are the block of the frame last
+    asked of it and that frame's row in the block.
     """
 
-    __slots__ = ("seed", "frame_index", "_rng", "_placed", "_block")
+    __slots__ = ("seed", "frame_index", "_rng", "_placed", "block", "row")
 
     def __init__(self, rng: np.random.Generator | None = None) -> None:
         self.seed = 0
         self.frame_index = 0
         self._rng = np.random.Generator(np.random.Philox()) if rng is None else rng
-        self._placed = None  # (seed, block index, n_tx, config) of _block
-        self._block = None
+        self._placed = None  # (seed, block index, n_tx, config) of block
+        self.block = None
+        self.row = None
 
     def starts(self, n_tx: int, config: SystemConfig) -> np.ndarray:
         """Read-only (n_tx, copies) starts of this stream's frame.
@@ -90,10 +97,40 @@ class FrameStream:
         if placed != self._placed:
             self._placed = None
             _rekey(self._rng, self.seed, block)
-            self._block = _place(self._rng, k * n_tx, config)
-            self._block.flags.writeable = False
+            self.block = _Block(_place(self._rng, k * n_tx, config), k, config)
             self._placed = placed
-        return self._block[row * n_tx : (row + 1) * n_tx]
+        self.row = row
+        return self.block.starts[row * n_tx : (row + 1) * n_tx]
+
+
+class _Block:
+    """One placed RNG block: the read-only starts of ``frames`` frames of
+    equal size, stacked by row, and the overlap on every copy in them,
+    swept once when a frame first asks for it (see per_copy_interference).
+    It lives as long as the stream or a frame refers to it.
+
+    ``sweep_config`` is the geometry the block was placed under, or None
+    when its frames are too long to be offset inside int64 (some 10**15
+    symbols), in which case each frame sweeps alone.
+    """
+
+    __slots__ = ("starts", "frames", "sweep_config", "_interference")
+
+    def __init__(self, starts: np.ndarray, frames: int, config: SystemConfig) -> None:
+        starts.flags.writeable = False
+        self.starts = starts
+        self.frames = frames
+        span = config.frame_len + config.burst_len
+        self.sweep_config = config if frames * span <= _INT64_MAX else None
+        self._interference = None
+
+    def interference(self) -> np.ndarray:
+        """Read-only overlap on every copy of the block, shaped as ``starts``."""
+        if self._interference is None:
+            inter = _sweep(self.starts, self.frames, self.sweep_config)
+            inter.flags.writeable = False
+            self._interference = inter
+        return self._interference
 
 
 def _rekey(rng: np.random.Generator, seed: int, block: int) -> None:
@@ -147,9 +184,16 @@ def point_seed(master_seed: int, point_index: int) -> int:
 
 @dataclass(frozen=True, eq=False)
 class Frame:
-    """Start symbol of every transmitted copy, one row per packet."""
+    """Start symbol of every transmitted copy, one row per packet.
+
+    A drawn frame also refers to the block it was placed in and its row
+    there: it is rows ``row * n_packets`` up to ``(row + 1) * n_packets``
+    of ``block.starts``. A hand-built ``Frame(starts)`` has neither.
+    """
 
     starts: np.ndarray  # (n_packets, copies) int64
+    block: _Block | None = None
+    row: int | None = None
 
     @property
     def n_packets(self) -> int:
@@ -166,10 +210,12 @@ def draw_frame(stream: FrameStream, n_tx: int, config: SystemConfig) -> Frame:
 
     Every copy is uniform over the starts left admissible by the packet's
     earlier copies, frame edges included (see ``_place``). The starts are a
-    read-only view of the block. A block that holds a dead end raises
-    PlacementImpossibleError at the first frame drawn from it.
+    read-only view of the block, and the frame keeps the block and its row
+    in it. A block that holds a dead end raises PlacementImpossibleError at
+    the first frame drawn from it.
     """
-    return Frame(stream.starts(n_tx, config))
+    starts = stream.starts(n_tx, config)
+    return Frame(starts, stream.block, stream.row)
 
 
 def _place(rng: np.random.Generator, n_tx: int, config: SystemConfig) -> np.ndarray:
@@ -223,32 +269,32 @@ def _place(rng: np.random.Generator, n_tx: int, config: SystemConfig) -> np.ndar
 
 
 def per_copy_interference(frame: Frame, config: SystemConfig) -> np.ndarray:
-    """Aggregate overlap on each copy from all other packets' copies.
+    """Aggregate overlap on each copy from all other packets' copies, as a
+    read-only (n_packets, copies) array.
 
-    All arithmetic is integer, so the result is exact. Both paths count
-    every other copy in the frame, so they need the precondition draw_frame
+    All arithmetic is integer, so the result is exact. It counts every
+    other copy in the frame, so it needs the precondition draw_frame
     guarantees: copies of the same packet never overlap. It draws no random
     numbers: a frame's interference follows from the starts its block's
     counter-based stream placed, whether the frame came from a fresh or a
     reused FrameStream (see frame_rng).
 
-    Which path runs depends only on the copy count B. Both give the same
-    integers, so the choice never reaches the output.
+    One algorithm, a sorted sweep with prefix sums over B copies, O(B log
+    B), run once per block. The first call on any frame of a block (asked
+    under the config the block was placed under) sweeps all K frames of it
+    at once, and every frame of the block then returns a view of its rows.
+    A hand-built frame, or one asked under another config, is swept alone,
+    as a block of K = 1. Either way a frame gets the same integers:
 
-    Up to ``_ALL_PAIRS_MAX`` copies, all pairs, O(B^2): two copies d apart
-    overlap ``tau - min(|d|, tau)`` symbols, and a copy's own pair (d = 0)
-    adds tau, so copy k sees ``(B-1)*tau - sum_j min(|s_k - s_j|, tau)``.
-    That is five numpy calls on a B x B matrix. The sweep below costs some
-    25 calls whatever B is, and per-call overhead, not arithmetic, sets a
-    small frame's cost, so the matrix stays the cheaper path up to the
-    80-odd copies where the two break even (measured from 32 to 128
-    copies). The empty frame takes this path too: its 0 x 0 matrix sums to
-    the empty result.
+    Frame r of the block is first shifted by ``r * (frame_len + tau)``. A
+    frame's starts lie in ``0 .. frame_len - tau``, so the nearest starts of
+    two neighbouring frames end up at least ``2 * tau`` apart: farther than
+    the ``tau - 1`` within which two copies overlap, so no copy sees another
+    frame, while distances inside a frame do not change.
 
-    Above it, a sorted sweep with prefix sums, O(B log B). In sorted order,
-    copy k at start s sees the copies lo..k-1 below it and k+1..hi-1 above
-    it within distance < tau; with prefix sums P of the sorted starts,
-    their summed overlap is the single expression
+    In sorted order, copy k at start s sees the copies lo..k-1 below it and
+    k+1..hi-1 above it within distance < tau; with prefix sums P of the
+    sorted starts, their summed overlap is the single expression
     ``tau*(hi-lo-1) + s*(hi+lo-2k-1) + (P[k]-P[lo]) - (P[hi]-P[k+1])``,
     evaluated in place as
     ``(s-tau+1)*lo - P[lo] + (s+tau)*hi - P[hi] - lo``
@@ -258,20 +304,38 @@ def per_copy_interference(frame: Frame, config: SystemConfig) -> np.ndarray:
     ``hi[k] = #{j : lo[j] <= k}``, a bincount of lo summed cumulatively,
     because on sorted integers (ties included)
     ``s_j < s_k + tau  <=>  s_k >= s_j - tau + 1  <=>  k >= lo[j]``.
+    The prefix sums may wrap around in int64, but the expression only adds,
+    subtracts and multiplies, so its wrapped value is the true total, which
+    is at most B * tau.
 
     The sort need not be stable. Copies that share a start s sit next to
     each other in any order, see the same lo and hi, and the expression
     changes by ``-2s + s[k] + s[k+1] = 0`` from one of them to the next,
-    so every order of a tie gives each of them the same total.
+    so every order of a tie gives each of them the same total. Shifted
+    starts tie only inside a frame, so this holds for the block too.
+    """
+    block = frame.block
+    if block is not None and block.sweep_config == config:
+        n = frame.starts.shape[0]
+        return block.interference()[frame.row * n : (frame.row + 1) * n]
+    out = _sweep(frame.starts, 1, config)
+    out.flags.writeable = False
+    return out
+
+
+def _sweep(starts: np.ndarray, frames: int, config: SystemConfig) -> np.ndarray:
+    """Overlap on every copy of ``frames`` frames of equal size stacked by
+    row in ``starts``, each frame on its own, by the offset sweep that
+    per_copy_interference describes. Buffers are reused in place, so the
+    sweep holds nine arrays of B integers at most.
     """
     tau = config.burst_len
-    flat = frame.starts.reshape(-1)
-    n = flat.shape[0]
-    if n <= _ALL_PAIRS_MAX:
-        d = flat[:, None] - flat
-        np.abs(d, out=d)
-        np.minimum(d, tau, out=d)
-        return ((n - 1) * tau - d.sum(axis=1)).reshape(frame.starts.shape)
+    n = starts.size
+    flat = starts.reshape(-1)
+    if frames > 1:
+        offset = np.arange(frames, dtype=np.int64)
+        offset *= config.frame_len + tau
+        flat = (starts.reshape(frames, n // frames) + offset[:, None]).reshape(-1)
     order = flat.argsort()
     s = flat[order]
     prefix = np.zeros(n + 1, dtype=np.int64)
@@ -282,20 +346,21 @@ def per_copy_interference(frame: Frame, config: SystemConfig) -> np.ndarray:
     hi.cumsum(out=hi)
     # P[k] + P[k+1] - (2k+1)*s - lo - tau
     total = prefix[:-1] + prefix[1:]
-    total -= np.arange(1, 2 * n, 2) * s
+    odd = np.arange(1, 2 * n, 2)
+    odd *= s
+    total -= odd
     total -= lo
     total -= tau
     # (s-tau+1)*lo - P[lo], then (s+tau)*hi - P[hi], in the key buffer
     key *= lo
-    key -= prefix[lo]
+    key -= prefix.take(lo, out=odd)
     total += key
     np.add(s, tau, out=key)
     key *= hi
-    key -= prefix[hi]
+    key -= prefix.take(hi, out=odd)
     total += key
-    out = np.empty(n, dtype=np.int64)
-    out[order] = total
-    return out.reshape(frame.starts.shape)
+    key[order] = total
+    return key.reshape(starts.shape)
 
 
 def per_copy_interference_brute(frame: Frame, config: SystemConfig) -> np.ndarray:
@@ -354,11 +419,13 @@ def _frames_lost(
 
     One FrameStream serves the chunk, so a block of frames is placed once
     and each frame is its slice, byte for byte the frame a fresh
-    ``frame_rng(seed, f)`` gives. Each stage is still called once per frame;
-    the draw amortizes its work over the block. A chunk that starts or ends
-    inside a block places that whole block. Module-level, so a process pool
-    can pickle a partial of it; the per-frame functions are looked up at
-    call time.
+    ``frame_rng(seed, f)`` gives. Each stage is still called once per frame,
+    and both the draw and the overlap amortize their work over the block:
+    the first frame of a block places it, the first sweep of it sweeps all
+    its frames, and the other frames get views of both. A chunk that starts
+    or ends inside a block places and sweeps that whole block. Module-level,
+    so a process pool can pickle a partial of it; the per-frame functions
+    are looked up at call time.
     """
     lost = np.empty(frame_hi - frame_lo, dtype=np.int64)
     stream = None
@@ -382,6 +449,15 @@ def _require_frame_bound(config: SystemConfig, load: float) -> int:
     return n_tx
 
 
+def _require_rounds_bound(rounds: int) -> None:
+    """WorkBoundError if ``rounds`` frames per load exceed MAX_ROUNDS."""
+    if rounds > MAX_ROUNDS:
+        raise WorkBoundError(
+            f"{rounds} rounds is over the bound of {MAX_ROUNDS} simulated "
+            "frames per load"
+        )
+
+
 def estimate_point(
     config: SystemConfig,
     link: LinkModel,
@@ -399,13 +475,14 @@ def estimate_point(
     frame f is always the same slice of the same RNG block (see
     RNG_STREAM_RULE), wherever the chunk bounds fall, and its starts do not
     depend on ``rounds`` either. The process pool never holds more
-    processes than chunks or CPUs. A load that puts more than
-    MAX_FRAME_COPIES copies in a frame raises WorkBoundError before any
-    frame is placed. PlacementImpossibleError comes from the first frame
-    drawn from the block that holds the dead end.
+    processes than chunks or CPUs. More than MAX_ROUNDS rounds, or a load
+    that puts more than MAX_FRAME_COPIES copies in a frame, raise
+    WorkBoundError before any frame is placed. PlacementImpossibleError
+    comes from the first frame drawn from the block that holds the dead end.
     """
     if rounds < 1:
         raise InvalidParameterError(f"rounds must be >= 1, got {rounds}")
+    _require_rounds_bound(rounds)
     if workers < 1:
         raise InvalidParameterError(f"workers must be >= 1, got {workers}")
     n_tx = _require_frame_bound(config, load)

@@ -36,9 +36,9 @@ from divaloha import analytic, harness, simulator
 from divaloha.analytic import MAX_FOLD_STEPS
 from divaloha.harness import EXIT_OK, EXIT_RUNTIME, EXIT_USAGE, main
 from divaloha.simulator import (
-    _ALL_PAIRS_MAX,
     BLOCK_COPIES,
     MAX_FRAME_COPIES,
+    MAX_ROUNDS,
     RNG_STREAM_RULE,
     _frames_lost,
 )
@@ -227,9 +227,10 @@ def test_frames_lost_calls_each_stage_once_per_frame_in_order(monkeypatch):
     # the traced benchmark times these four module globals inside this loop
     # and counts calls per frame: the rule is one call of each stage per
     # frame, in order. A call may amortize its work over a block (the draw
-    # places a block of frames once), but a stage that is inlined, batched
-    # into fewer calls or skipped must fail here first. Frames 130-141
-    # cross the edge of the 136-frame blocks of 30 two-copy packets.
+    # places a block of frames once, and the overlap sweeps a block of
+    # frames once), but a stage that is inlined, batched into fewer calls
+    # or skipped must fail here first. Frames 130-141 cross the edge of the
+    # 136-frame blocks of 30 two-copy packets.
     calls = []
     for name in PER_FRAME:
         def counted(*args, _real=getattr(simulator, name), _name=name):
@@ -500,12 +501,9 @@ class TestPairwiseOverlap:
         assert per_copy_interference_brute(frame, config).tolist() == [[expected]] * 2
 
 
-# packets per frame on each side of the all-pairs cutoff: the largest frame
-# of 1, 2 and 3 copies per packet at or below _ALL_PAIRS_MAX copies, and the
-# smallest above it
-CUTOFF_N_TX = sorted(
-    {m for c in (1, 2, 3) for m in (_ALL_PAIRS_MAX // c, _ALL_PAIRS_MAX // c + 1)}
-)
+# packets per frame of 76 and 77 copies and thereabouts at 1, 2 and 3
+# copies per packet: the frame sizes where the overlap once changed method
+CUTOFF_N_TX = [25, 26, 38, 39, 76, 77]
 
 
 class TestPerCopyInterference:
@@ -541,12 +539,144 @@ class TestPerCopyInterference:
             )
 
 
+def brute_in_chunks(frame, config, rows=64):
+    """per_copy_interference_brute a few packets at a time, so a frame of
+    thousands of copies needs no B x B matrix."""
+    tau = config.burst_len
+    flat = frame.starts.reshape(-1)
+    pkt = np.repeat(np.arange(frame.n_packets), frame.copies)
+    out = []
+    for lo in range(0, frame.n_packets, rows):
+        part = frame.starts[lo : lo + rows]
+        ov = np.maximum(tau - np.abs(part[:, :, None] - flat), 0)
+        own = pkt == np.arange(lo, lo + part.shape[0])[:, None]
+        ov[np.broadcast_to(own[:, None, :], ov.shape)] = 0
+        out.append(ov.sum(axis=2))
+    return np.concatenate(out).reshape(frame.starts.shape)
+
+
+# half a block of copies: at or below it a block holds K >= 2 frames, above
+# it a frame is its own block
+HALF_BLOCK = BLOCK_COPIES // 2
+
+
+class TestBlockOverlap:
+    """The first frame of a block asked for its overlap sweeps the whole
+    block, offset frame by frame; every frame gets a read-only view."""
+
+    @pytest.mark.parametrize("copies", [1, 2, 3])
+    @pytest.mark.parametrize("side", ["small", "half_block", "over_half_block"])
+    def test_every_frame_of_several_blocks_matches_brute(self, copies, side):
+        n_tx = {"small": 7, "half_block": HALF_BLOCK // copies,
+                "over_half_block": HALF_BLOCK // copies + 1}[side]
+        k = block_size(n_tx, copies)
+        assert (k >= 2) == (side != "over_half_block")
+        config = SystemConfig(frame_len=200000, burst_len=50, copies=copies)
+        brute = per_copy_interference_brute if side == "small" else brute_in_chunks
+        stream = None
+        # two whole blocks and the first frame of a third
+        for f in range(2 * k + 1):
+            stream = frame_rng(30 + copies, f, stream)
+            frame = draw_frame(stream, n_tx, config)
+            assert frame.block.frames == k and frame.row == f % k
+            assert np.array_equal(
+                per_copy_interference(frame, config), brute(frame, config)
+            )
+
+    def test_hand_placed_neighbour_frames_do_not_overlap(self):
+        # frame r ends a copy at the last start, frame r + 1 begins one at 0,
+        # and a copy sits at the same start in consecutive frames: each
+        # frame must see only its own copies
+        config = SystemConfig(frame_len=30, burst_len=4, copies=1)
+        last = config.start_positions - 1
+        rows = [[last], [0], [0], [last], [last], [last - 2], [0], [last]]
+        block = simulator._Block(np.array(rows, dtype=np.int64), 4, config)
+        for r in range(4):
+            alone = Frame(block.starts[2 * r : 2 * r + 2])
+            frame = Frame(alone.starts, block, r)
+            want = per_copy_interference_brute(alone, config)
+            assert np.array_equal(per_copy_interference(frame, config), want)
+        assert block.interference().ravel().tolist() == [0, 0, 0, 0, 2, 2, 0, 0]
+
+    def test_rows_are_read_only(self):
+        config = SystemConfig(frame_len=3000, burst_len=100)
+        drawn = draw_frame(frame_rng(2, 3), 10, config)
+        for frame in (drawn, Frame(drawn.starts.copy())):
+            inter = per_copy_interference(frame, config)
+            with pytest.raises(ValueError):
+                inter[0, 0] = 0
+        # the attempt left the block's overlap as it was
+        assert np.array_equal(
+            per_copy_interference(drawn, config),
+            per_copy_interference_brute(drawn, config),
+        )
+
+    def test_other_config_sweeps_the_frame_alone(self, monkeypatch):
+        swept = []
+
+        def spy(starts, frames, config, _real=simulator._sweep):
+            swept.append((starts.shape, frames, config))
+            return _real(starts, frames, config)
+
+        monkeypatch.setattr(simulator, "_sweep", spy)
+        placed = SystemConfig(frame_len=3000, burst_len=100)
+        asked = SystemConfig(frame_len=3000, burst_len=60)
+        frame = draw_frame(frame_rng(4, 5), 10, placed)
+        got = per_copy_interference(frame, asked)
+        assert swept == [((10, 2), 1, asked)]
+        assert np.array_equal(got, per_copy_interference_brute(frame, asked))
+        assert np.array_equal(got, per_copy_interference(Frame(frame.starts), asked))
+
+    def test_frames_lost_sweeps_each_block_once(self, monkeypatch):
+        # 30 two-copy packets: blocks of 136 frames, and the chunk starts
+        # in block 0, six frames before its end, and ends inside block 2
+        swept = []
+
+        def spy(starts, frames, config, _real=simulator._sweep):
+            swept.append((starts.shape, frames))
+            return _real(starts, frames, config)
+
+        monkeypatch.setattr(simulator, "_sweep", spy)
+        config = SystemConfig(frame_len=20000, burst_len=1000)
+        assert block_size(30, 2) == 136
+        lost = _frames_lost(config, LINK_10DB.budget, 30, 9, 130, 290)
+        assert swept == [((136 * 30, 2), 136)] * 3
+        want = [
+            decode_frame(
+                per_copy_interference_brute(
+                    Frame(reference_frame(9, f, 30, config)), config
+                ),
+                LINK_10DB.budget,
+                config.copies,
+            )
+            for f in range(130, 290)
+        ]
+        assert lost.tolist() == want
+
+    def test_frames_too_long_to_offset_sweep_alone(self):
+        # K frames offset by frame_len + tau would pass int64: the block is
+        # not swept as one, and each frame still gets its exact overlap
+        tau = 10**15
+        config = SystemConfig(frame_len=1000 * tau, burst_len=tau, copies=2)
+        k = block_size(3, 2)
+        assert k * (config.frame_len + tau) > np.iinfo(np.int64).max
+        stream = None
+        for f in range(3):
+            stream = frame_rng(6, f, stream)
+            frame = draw_frame(stream, 3, config)
+            assert frame.block.sweep_config is None
+            assert np.array_equal(
+                per_copy_interference(frame, config),
+                per_copy_interference_brute(frame, config),
+            )
+
+
 @st.composite
 def edge_frames(draw):
     """Valid frames at the sweep's edge geometries: unit bursts, copies
     packed end to end in the frame, and a lone packet. Unit-burst and packed
-    frames reach twice the all-pairs cutoff, so ties and frame edges meet
-    both overlap paths."""
+    frames reach 152 copies, so ties and frame edges meet small and large
+    frames alike."""
     kind = draw(st.sampled_from(["unit_burst", "packed", "lone_packet"]))
     copies = draw(st.integers(1, 3))
     tau = 1 if kind == "unit_burst" else draw(st.integers(1, 12))
@@ -556,7 +686,7 @@ def edge_frames(draw):
     if kind == "lone_packet":
         n_tx = 1
     else:
-        n_tx = draw(st.integers(1, 2 * _ALL_PAIRS_MAX // copies))
+        n_tx = draw(st.integers(1, 152 // copies))
     config = SystemConfig(frame_len=frame_len, burst_len=tau, copies=copies)
     # sorted slacks plus i*tau keep a packet's copies >= tau apart in frame
     slack = config.start_positions - 1 - (copies - 1) * tau
@@ -843,6 +973,58 @@ class TestFrameCopyBound:
         err = capsys.readouterr().err
         assert err.startswith("divaloha: ") and err.count("\n") == 1
         assert str(MAX_FRAME_COPIES) in err
+
+
+class TestRoundsBound:
+    """More than MAX_ROUNDS frames per load are refused before the loss
+    array or any frame exists; at the bound the run reaches the loop. The
+    loop is a stand-in that raises, so nothing is allocated at the bound."""
+
+    class Looped(Exception):
+        pass
+
+    @pytest.fixture
+    def no_loop(self, monkeypatch):
+        reached = []
+
+        def loop(config, budget, n_tx, seed, frame_lo, frame_hi):
+            reached.append(frame_hi - frame_lo)
+            raise self.Looped
+
+        def no_fold(*args, **kwargs):
+            raise AssertionError("analytic work started before the rounds bound")
+
+        monkeypatch.setattr(simulator, "_frames_lost", loop)
+        monkeypatch.setattr(harness, "analytic_curve", no_fold)
+        return reached
+
+    def test_estimate_point(self, no_loop):
+        config = SystemConfig(frame_len=20000, burst_len=1000)
+        with pytest.raises(WorkBoundError, match=str(MAX_ROUNDS)):
+            estimate_point(config, LINK_10DB, 0.5, MAX_ROUNDS + 1, seed=1)
+        assert no_loop == []
+        with pytest.raises(self.Looped):
+            estimate_point(config, LINK_10DB, 0.5, MAX_ROUNDS, seed=1)
+        assert no_loop == [MAX_ROUNDS]
+
+    @pytest.mark.parametrize("mode", ["simulate", "compare"])
+    def test_cli(self, mode, no_loop, capsys):
+        argv = [mode, "--tf", "20000", "--tau", "1000", "--loads", "0.5"]
+        assert main([*argv, "--rounds", str(MAX_ROUNDS + 1)]) == EXIT_RUNTIME
+        err = capsys.readouterr().err
+        assert err.startswith("divaloha: ") and err.count("\n") == 1
+        assert str(MAX_ROUNDS) in err
+        assert no_loop == []
+        if mode == "simulate":
+            spec = harness.parse_spec([*argv, "--rounds", str(MAX_ROUNDS)])
+            with pytest.raises(self.Looped):
+                harness.build_rows(spec)
+            assert no_loop == [MAX_ROUNDS]
+
+    def test_analytic_ignores_rounds(self, capsys):
+        argv = ["analytic", "--tf", "20000", "--tau", "1000", "--loads", "0.5",
+                "--rounds", str(MAX_ROUNDS + 1)]
+        assert main(argv) == EXIT_OK
 
 
 class TestBoundBeforeAnyWork:
