@@ -263,7 +263,7 @@ def _place(rng: np.random.Generator, n_tx: int, config: SystemConfig) -> np.ndar
         # rank -> start: step over every blocked run at or below it
         x = rng.integers(0, free)
         for j in range(c):
-            np.add(x, width[:, j], out=x, where=x >= lo[:, j])
+            x += (x >= lo[:, j]) * width[:, j]
         starts[:, c] = x
     return starts
 
@@ -273,8 +273,9 @@ def per_copy_interference(frame: Frame, config: SystemConfig) -> np.ndarray:
     read-only (n_packets, copies) array.
 
     All arithmetic is integer, so the result is exact. It counts every
-    other copy in the frame, so it needs the precondition draw_frame
-    guarantees: copies of the same packet never overlap. It draws no random
+    other copy in the frame, so it needs the preconditions draw_frame
+    guarantees: copies of the same packet never overlap, and every start
+    lies in the frame, in ``0 .. frame_len - tau``. It draws no random
     numbers: a frame's interference follows from the starts its block's
     counter-based stream placed, whether the frame came from a fresh or a
     reused FrameStream (see frame_rng).
@@ -295,24 +296,33 @@ def per_copy_interference(frame: Frame, config: SystemConfig) -> np.ndarray:
     In sorted order, copy k at start s sees the copies lo..k-1 below it and
     k+1..hi-1 above it within distance < tau; with prefix sums P of the
     sorted starts, their summed overlap is the single expression
-    ``tau*(hi-lo-1) + s*(hi+lo-2k-1) + (P[k]-P[lo]) - (P[hi]-P[k+1])``,
-    evaluated in place as
-    ``(s-tau+1)*lo - P[lo] + (s+tau)*hi - P[hi] - lo``
-    ``+ P[k] + P[k+1] - (2k+1)*s - tau``.
-    One search finds lo, the rank of the key ``s - tau + 1`` among the
-    starts. hi, the rank of ``s + tau``, follows by counting:
-    ``hi[k] = #{j : lo[j] <= k}``, a bincount of lo summed cumulatively,
-    because on sorted integers (ties included)
-    ``s_j < s_k + tau  <=>  s_k >= s_j - tau + 1  <=>  k >= lo[j]``.
+    ``s*(lo+hi-2k-1) + tau*(hi-lo-1) - P[lo] - P[hi] + P[k] + P[k+1]``.
     The prefix sums may wrap around in int64, but the expression only adds,
     subtracts and multiplies, so its wrapped value is the true total, which
     is at most B * tau.
 
-    The sort need not be stable. Copies that share a start s sit next to
-    each other in any order, see the same lo and hi, and the expression
-    changes by ``-2s + s[k] + s[k+1] = 0`` from one of them to the next,
-    so every order of a tie gives each of them the same total. Shifted
-    starts tie only inside a frame, so this holds for the block too.
+    The order is one in-place sort of packed keys
+    ``(shifted start << bits) | copy index``: the sorted starts are the keys
+    shifted back down and the order is their low bits. The index bits break
+    ties, so the order is fully determined. lo, the rank of the key
+    ``s - tau + 1`` among the starts, comes from merging two sorted runs:
+    keys tagged 0 and starts tagged 1 as ``(v << 1) | tag``, so a key sorts
+    before an equal start, through one stable sort, which merges two runs
+    in linear time. Key k then sits at position ``lo[k] + k``. hi, the rank
+    of ``s + tau``, follows by counting: ``hi[k] = #{j : lo[j] <= k}``, a
+    bincount of lo summed cumulatively, because on sorted integers (ties
+    included) ``s_j < s_k + tau  <=>  s_k >= s_j - tau + 1  <=>
+    k >= lo[j]``.
+
+    A key holds ``63 - bits`` bits of start. Where the block's largest
+    shifted start would not fit (frames of some 10**11 symbols or more, see
+    _key_bits), the order comes from an argsort and lo from a search
+    instead; the arithmetic is the same. That argsort is not stable, and
+    need not be: copies that share a start s sit next to each other in any
+    order, see the same lo and hi, and the expression changes by
+    ``-2s + s[k] + s[k+1] = 0`` from one of them to the next, so every
+    order of a tie gives each of them the same total. Shifted starts tie
+    only inside a frame, so this holds for the block too.
     """
     block = frame.block
     if block is not None and block.sweep_config == config:
@@ -323,44 +333,96 @@ def per_copy_interference(frame: Frame, config: SystemConfig) -> np.ndarray:
     return out
 
 
+def _key_bits(n: int, frames: int, config: SystemConfig) -> int | None:
+    """Index bits of the packed sort keys of a sweep over ``n`` copies in
+    ``frames`` frames of ``config``, or None when a key could not hold the
+    block's largest shifted start.
+
+    A key is ``(shifted start << bits) | copy index`` with ``bits`` enough
+    for every index (at least 1, for the merge's tag bit), so it holds
+    shifted starts up to ``2**(63 - bits) - 1``. The largest one a block can
+    have is the last start of its last frame,
+    ``frames * (frame_len + tau) - 2 * tau``; the merge also tags keys down
+    to ``-(tau - 1)``, which fits whenever ``tau - 1`` is below the same
+    bound. A block of at most BLOCK_COPIES copies fails it only when it
+    spans 2**50 symbols, a frame of MAX_FRAME_COPIES copies when it spans
+    2**43: frames of 10**11 symbols or more (the paper's longest hold
+    200000).
+    """
+    tau = config.burst_len
+    bits = max(1, (n - 1).bit_length())
+    top = frames * (config.frame_len + tau) - 2 * tau
+    if max(top, tau - 1) >> (63 - bits):
+        return None
+    return bits
+
+
 def _sweep(starts: np.ndarray, frames: int, config: SystemConfig) -> np.ndarray:
     """Overlap on every copy of ``frames`` frames of equal size stacked by
     row in ``starts``, each frame on its own, by the offset sweep that
-    per_copy_interference describes. Buffers are reused in place, so the
-    sweep holds nine arrays of B integers at most.
+    per_copy_interference describes.
+
+    Only the ordering and rank step has two branches, chosen by _key_bits:
+    packed keys with one in-place sort and a merge, or, where a key would
+    not fit int64, an argsort and a search. The arithmetic after it is
+    shared. Buffers are reused in place: either branch holds eight arrays of
+    B integers at its peak (the order, copy indices, sorted starts, lo, hi,
+    prefix sums and a work buffer of 2B) and writes the totals into the
+    buffer of the sorted starts.
     """
     tau = config.burst_len
     n = starts.size
-    flat = starts.reshape(-1)
-    if frames > 1:
-        offset = np.arange(frames, dtype=np.int64)
-        offset *= config.frame_len + tau
-        flat = (starts.reshape(frames, n // frames) + offset[:, None]).reshape(-1)
-    order = flat.argsort()
-    s = flat[order]
-    prefix = np.zeros(n + 1, dtype=np.int64)
-    s.cumsum(out=prefix[1:])
-    key = s - (tau - 1)
-    lo = s.searchsorted(key)
+    offset = np.arange(frames, dtype=np.int64)
+    offset *= config.frame_len + tau
+    shifted = (starts.reshape(frames, n // frames) + offset[:, None]).reshape(-1)
+    k = np.arange(n, dtype=np.int64)
+    work = np.empty(2 * n, dtype=np.int64)
+    a, b = work[:n], work[n:]
+    bits = _key_bits(n, frames, config)
+    if bits is None:
+        order = shifted.argsort()
+        shifted.sort()
+        s = shifted
+        np.subtract(s, tau - 1, out=a)
+        lo = s.searchsorted(a)
+    else:
+        shifted <<= bits
+        shifted |= k
+        shifted.sort()
+        s = shifted >> bits
+        order = np.bitwise_and(shifted, (1 << bits) - 1, out=shifted)
+        # keys s - tau + 1 tagged 0, starts tagged 1: two sorted runs, which
+        # the stable sort (timsort) merges in one linear pass
+        np.subtract(s, tau - 1, out=a)
+        a <<= 1
+        np.left_shift(s, 1, out=b)
+        b |= 1
+        work.sort(kind="stable")
+        work &= 1
+        lo = np.flatnonzero(work == 0)
+        lo -= k
     hi = np.bincount(lo, minlength=n)
     hi.cumsum(out=hi)
-    # P[k] + P[k+1] - (2k+1)*s - lo - tau
-    total = prefix[:-1] + prefix[1:]
-    odd = np.arange(1, 2 * n, 2)
-    odd *= s
-    total -= odd
-    total -= lo
-    total -= tau
-    # (s-tau+1)*lo - P[lo], then (s+tau)*hi - P[hi], in the key buffer
-    key *= lo
-    key -= prefix.take(lo, out=odd)
-    total += key
-    np.add(s, tau, out=key)
-    key *= hi
-    key -= prefix.take(hi, out=odd)
-    total += key
-    key[order] = total
-    return key.reshape(starts.shape)
+    prefix = np.empty(n + 1, dtype=np.int64)
+    prefix[0] = 0
+    s.cumsum(out=prefix[1:])
+    # P[k] + P[k+1] - P[lo] - P[hi]; clip never clips here, but unlike the
+    # default it lets take write straight into b
+    np.add(prefix[:-1], prefix[1:], out=a)
+    a -= prefix.take(lo, out=b, mode="clip")
+    a -= prefix.take(hi, out=b, mode="clip")
+    # + tau*(hi-lo-1) + s*(lo+hi-2k-1), from (hi-k-1) and (lo-k)
+    hi -= k
+    hi -= 1
+    lo -= k
+    np.subtract(hi, lo, out=b)
+    b *= tau
+    a += b
+    np.add(hi, lo, out=b)
+    b *= s
+    a += b
+    s[order] = a
+    return s.reshape(starts.shape)
 
 
 def per_copy_interference_brute(frame: Frame, config: SystemConfig) -> np.ndarray:

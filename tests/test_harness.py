@@ -11,12 +11,14 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from divaloha import harness
 from divaloha.harness import (
     CSV_COLUMNS,
     EXIT_COMPARE_FAILED,
     EXIT_OK,
     EXIT_RUNTIME,
     EXIT_USAGE,
+    MAX_LOADS,
     OUT_DIR_ENV,
     RunSpec,
     UsageError,
@@ -425,6 +427,35 @@ class TestMain:
         assert err.startswith("divaloha: ") and err.count("\n") == 1
         assert "Traceback" not in err
 
+    @pytest.mark.parametrize(
+        "grid", ["0:1e308:1e-308", "-1e308:1e308:1e-300", "0:1:1e-5", "0:2:0.00003"]
+    )
+    def test_overflowing_or_over_bound_load_grid_exits_usage(self, grid, capsys):
+        assert_one_line_usage_error(
+            ["analytic", "--tf", "1000", "--tau", "5", f"--loads={grid}"], capsys
+        )
+
+    @pytest.mark.parametrize("grid", ["0:1:1e-12", "0:1e308:1e-308", "0:1:1e-5"])
+    def test_over_bound_load_grid_is_refused_before_expansion(self, grid, monkeypatch):
+        # the grid is expanded through round(): a grid refused up front never
+        # calls it, so not even its first load is built
+        def expand(*args):
+            raise AssertionError(f"load grid {grid} expanded")
+
+        monkeypatch.setattr(harness, "round", expand, raising=False)
+        with pytest.raises(UsageError, match=f"more than {MAX_LOADS} loads"):
+            harness._parse_loads(grid)
+
+    def test_load_bound_is_inclusive(self):
+        spec = parse_spec(
+            ["analytic", "--tf", "1000", "--tau", "5", f"--loads=0:{MAX_LOADS - 1}:1"]
+        )
+        assert len(spec.loads) == MAX_LOADS
+        with pytest.raises(UsageError):
+            parse_spec(["analytic", "--tf", "1000", "--tau", "5", f"--loads=0:{MAX_LOADS}:1"])
+        with pytest.raises(UsageError):
+            harness._parse_loads([0.5] * (MAX_LOADS + 1))
+
     def test_out_dir_env_var(self, tmp_path, monkeypatch, capsys):
         monkeypatch.setenv(OUT_DIR_ENV, str(tmp_path))
         code = main(
@@ -471,9 +502,38 @@ _CONTRACT_FLAGS = {
 }
 
 
+# --loads values: valid lists and grids, and grids that must exit 2 (not a
+# number, an overflowing count, more than MAX_LOADS points)
+_GOOD_LOADS = ["0.5", "0.2,0.9", "0:1:0.5", "1.4"]
+_BAD_GRIDS = ["nan:1:0.5", "0:1:0", "1:0:0.5", "0:1e308:1e-308", "0:1:1e-5"]
+
+# --config files, written once per module: a valid file, one whose loads are
+# a list, one whose loads are an overflowing grid, one that is not JSON and
+# one with a key no flag has
+_CONFIG_FILES = {
+    "plain": '{"tf": 1000, "tau": 5, "rounds": 2}',
+    "list_loads": '{"loads": [0.3, 0.6], "seed": 4}',
+    "bad_grid": '{"loads": "0:1e308:1e-308"}',
+    "not_json": "{tf: 1000",
+    "unknown_key": '{"frames": 3}',
+}
+
+
+@pytest.fixture(scope="module")
+def contract_configs(tmp_path_factory):
+    root = tmp_path_factory.mktemp("contract")
+    paths = {}
+    for name, text in _CONFIG_FILES.items():
+        paths[name] = root / f"{name}.json"
+        paths[name].write_text(text)
+    return paths
+
+
 @st.composite
 def contract_argv(draw):
-    mode = draw(st.sampled_from([["threshold"], ["analytic", "--loads", "0.5"]]))
+    """(argv, name of the --config file or None, whether the loads are a bad
+    grid)."""
+    mode = draw(st.sampled_from(["threshold", "analytic", "simulate", "compare"]))
     flags = draw(
         st.dictionaries(
             st.sampled_from(sorted(_CONTRACT_FLAGS)),
@@ -481,26 +541,43 @@ def contract_argv(draw):
             max_size=len(_CONTRACT_FLAGS),
         )
     )
-    argv = list(mode)
+    argv = [mode]
     for flag in sorted(flags):
         argv.append(f"--{flag}={draw(st.sampled_from(_CONTRACT_FLAGS[flag]))}")
     if "tau" not in flags:
         argv.append("--tau=5")
     if "tf" not in flags:
         argv.append("--tf=1000")
-    return argv
+    # without --loads, the loads come from the config file, if any
+    loads = draw(st.sampled_from([None, *_GOOD_LOADS, *_BAD_GRIDS]))
+    if loads is not None:
+        argv.append(f"--loads={loads}")
+    if mode in ("simulate", "compare"):
+        argv.append(f"--rounds={draw(st.sampled_from(['1', '3']))}")
+    config = draw(st.sampled_from([None, *_CONFIG_FILES]))
+    bad_grid = loads in _BAD_GRIDS or (loads is None and config == "bad_grid")
+    return argv, config, bad_grid
 
 
 class TestCliContract:
     @settings(max_examples=300, deadline=None)
-    @given(argv=contract_argv())
-    def test_every_outcome_is_ok_or_one_line_error(self, argv):
+    @given(case=contract_argv())
+    def test_every_outcome_is_ok_or_one_line_error(self, case, contract_configs):
+        argv, config, bad_grid = case
+        if config is not None:
+            argv = [*argv, f"--config={contract_configs[config]}"]
         out, err = io.StringIO(), io.StringIO()
         with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
             code = main(argv)
-        assert code in (EXIT_OK, EXIT_USAGE, EXIT_RUNTIME)
+        assert code in (EXIT_OK, EXIT_COMPARE_FAILED, EXIT_USAGE, EXIT_RUNTIME)
+        # exit 1 is compare's verdict and nothing else
+        if code == EXIT_COMPARE_FAILED:
+            assert argv[0] == "compare"
+        # every mode but threshold reads --loads, and a bad grid is bad input
+        if bad_grid and argv[0] != "threshold":
+            assert code == EXIT_USAGE
         assert "Traceback" not in out.getvalue() + err.getvalue()
-        if code == EXIT_OK:
+        if code in (EXIT_OK, EXIT_COMPARE_FAILED):
             assert err.getvalue() == ""
         else:
             lines = err.getvalue().splitlines()

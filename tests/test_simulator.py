@@ -5,6 +5,7 @@ import hashlib
 import os
 import subprocess
 import sys
+import tracemalloc
 import types
 
 import numpy as np
@@ -741,6 +742,95 @@ def test_sweep_on_shared_starts_matches_brute_and_follows_row_order(case):
     assert np.array_equal(got, per_copy_interference_brute(frame, config))
     permuted = per_copy_interference(Frame(frame.starts[perm]), config)
     assert np.array_equal(permuted, got[perm])
+
+
+def sweep_block_by_frame(block, n_tx, config):
+    """Each frame of a hand-built block through per_copy_interference (the
+    block sweep) and through the brute-force reference, frame by frame."""
+    for r in range(block.frames):
+        rows = block.starts[r * n_tx : (r + 1) * n_tx]
+        yield (
+            per_copy_interference(Frame(rows, block, r), config),
+            per_copy_interference_brute(Frame(rows), config),
+        )
+
+
+class TestSweepKernel:
+    """The sweep orders a block by one sort of packed int64 keys
+    ``(shifted start << bits) | copy index`` and ranks it by a merge, or,
+    where a key cannot hold the block's largest shifted start, by an
+    argsort and a search."""
+
+    @pytest.mark.parametrize("frames", [1, 3])
+    @pytest.mark.parametrize("past", [0, 1], ids=["at_limit", "one_past"])
+    def test_largest_shifted_start_at_the_key_limit(self, frames, past):
+        # two packets of two copies per frame, so bits = 2 (one frame) or 4
+        # (three); the last start of the last frame, shifted, is the last
+        # value a packed key holds, or one more
+        n_tx, copies = 2, 2
+        n = frames * n_tx * copies
+        bits = max(1, (n - 1).bit_length())
+        top = (1 << (63 - bits)) - 1 + past
+        # top = frames * frame_len + (frames - 2) * tau, solved for frame_len
+        tau = 3 + top % 3
+        frame_len, rem = divmod(top - (frames - 2) * tau, frames)
+        assert rem == 0
+        config = SystemConfig(frame_len=frame_len, burst_len=tau, copies=copies)
+        last = config.start_positions - 1
+        # the same rows in every frame, so starts tie across frames; the two
+        # copies at the frame's end overlap by tau - 1
+        rows = [[last, last - 2 * tau], [last - 1, 0]] * frames
+        block = simulator._Block(np.array(rows, dtype=np.int64), frames, config)
+        assert block.sweep_config == config
+        assert (frames - 1) * (frame_len + tau) + last == top
+        assert (simulator._key_bits(n, frames, config) is None) == bool(past)
+        for got, want in sweep_block_by_frame(block, n_tx, config):
+            assert np.array_equal(got, want)
+            assert got.tolist() == [[tau - 1, 0], [tau - 1, 0]]
+
+    def test_ties_within_and_across_frames(self):
+        # six packets of two copies in a 40-symbol frame at burst 5: starts
+        # 0, 3, 10 and 35 are each shared by two or three copies, every frame
+        # repeats them, and one frame lists its packets in another order
+        config = SystemConfig(frame_len=40, burst_len=5, copies=2)
+        base = [[0, 10], [0, 20], [3, 10], [35, 0], [35, 17], [3, 30]]
+        frames = [base, base[::-1], base, base[2:] + base[:2]]
+        starts = np.array([row for f in frames for row in f], dtype=np.int64)
+        block = simulator._Block(starts, len(frames), config)
+        assert simulator._key_bits(starts.size, len(frames), config) is not None
+        for got, want in sweep_block_by_frame(block, len(base), config):
+            assert np.array_equal(got, want)
+
+    @settings(deadline=None, max_examples=25)
+    @given(case=shared_start_frames())
+    def test_block_of_shared_start_frames_matches_brute(self, case):
+        config, frame, perm = case
+        starts = np.concatenate([frame.starts, frame.starts[perm], frame.starts])
+        block = simulator._Block(starts, 3, config)
+        assert simulator._key_bits(starts.size, 3, config) is not None
+        for got, want in sweep_block_by_frame(block, frame.n_packets, config):
+            assert np.array_equal(got, want)
+
+    @pytest.mark.parametrize(
+        "frame_len,packed", [(20000, True), (10**15, False)], ids=["packed", "search"]
+    )
+    def test_peak_temporary_memory(self, frame_len, packed):
+        # numpy reports its array buffers to tracemalloc. Either branch holds
+        # eight arrays of B integers at its peak, the returned one included;
+        # a ninth (one more temporary) breaks the bound of 8.5
+        config = SystemConfig(frame_len=frame_len, burst_len=1000)
+        block = draw_frame(frame_rng(3, 0), 16, config).block
+        size = block.starts.size
+        assert size == BLOCK_COPIES and block.sweep_config == config
+        assert (simulator._key_bits(size, block.frames, config) is not None) == packed
+        simulator._sweep(block.starts, block.frames, config)
+        tracemalloc.start()
+        try:
+            simulator._sweep(block.starts, block.frames, config)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak <= 8.5 * 8 * size
 
 
 class TestDecodeFrame:
