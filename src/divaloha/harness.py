@@ -14,6 +14,7 @@ command-line flags win over the file, which wins over built-in defaults.
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import math
 import os
@@ -224,7 +225,9 @@ def _parse_float(value, flag: str) -> float:
         raise UsageError(f"cannot parse {flag} value {value!r}") from None
 
 
+@functools.cache
 def _build_parser() -> argparse.ArgumentParser:
+    """The CLI parser, built once per process: parse_args leaves it as it was."""
     parser = argparse.ArgumentParser(
         prog="divaloha",
         description="Packet loss and throughput of two-copy asynchronous diversity Aloha",

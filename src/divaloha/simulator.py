@@ -14,7 +14,12 @@ import numpy as np
 
 from .analytic import n_tx_for_load
 from .config import SystemConfig
-from .errors import InvalidParameterError, PlacementImpossibleError, WorkBoundError
+from .errors import (
+    ConfigError,
+    InvalidParameterError,
+    PlacementImpossibleError,
+    WorkBoundError,
+)
 from .link import DecodeBudget, LinkModel
 
 RNG_ALGORITHM = "philox4x64"
@@ -56,7 +61,6 @@ MAX_FRAME_COPIES = 1 << 20
 MAX_ROUNDS = 1 << 20
 
 _MASK64 = (1 << 64) - 1
-_INT64_MAX = (1 << 63) - 1
 
 
 class FrameStream:
@@ -105,29 +109,25 @@ class FrameStream:
 
 class _Block:
     """One placed RNG block: the read-only starts of ``frames`` frames of
-    equal size, stacked by row, and the overlap on every copy in them,
-    swept once when a frame first asks for it (see per_copy_interference).
-    It lives as long as the stream or a frame refers to it.
-
-    ``sweep_config`` is the geometry the block was placed under, or None
-    when its frames are too long to be offset inside int64 (some 10**15
-    symbols), in which case each frame sweeps alone.
+    equal size, stacked by row, the ``config`` they were placed under, and
+    the overlap on every copy in them, swept once when a frame first asks
+    for it (see per_copy_interference). It lives as long as the stream or a
+    frame refers to it.
     """
 
-    __slots__ = ("starts", "frames", "sweep_config", "_interference")
+    __slots__ = ("starts", "frames", "config", "_interference")
 
     def __init__(self, starts: np.ndarray, frames: int, config: SystemConfig) -> None:
         starts.flags.writeable = False
         self.starts = starts
         self.frames = frames
-        span = config.frame_len + config.burst_len
-        self.sweep_config = config if frames * span <= _INT64_MAX else None
+        self.config = config
         self._interference = None
 
     def interference(self) -> np.ndarray:
         """Read-only overlap on every copy of the block, shaped as ``starts``."""
         if self._interference is None:
-            inter = _sweep(self.starts, self.frames, self.sweep_config)
+            inter = _sweep(self.starts, self.frames, self.config)
             inter.flags.writeable = False
             self._interference = inter
         return self._interference
@@ -299,7 +299,10 @@ def per_copy_interference(frame: Frame, config: SystemConfig) -> np.ndarray:
     ``s*(lo+hi-2k-1) + tau*(hi-lo-1) - P[lo] - P[hi] + P[k] + P[k+1]``.
     The prefix sums may wrap around in int64, but the expression only adds,
     subtracts and multiplies, so its wrapped value is the true total, which
-    is at most B * tau.
+    is at most B * tau. Copies that share a start s sit next to each other,
+    see the same lo and hi, and the expression changes by
+    ``-2s + s[k] + s[k+1] = 0`` from one of them to the next, so they get
+    the same total whichever order their rows give them.
 
     The order is one in-place sort of packed keys
     ``(shifted start << bits) | copy index``: the sorted starts are the keys
@@ -314,18 +317,12 @@ def per_copy_interference(frame: Frame, config: SystemConfig) -> np.ndarray:
     included) ``s_j < s_k + tau  <=>  s_k >= s_j - tau + 1  <=>
     k >= lo[j]``.
 
-    A key holds ``63 - bits`` bits of start. Where the block's largest
-    shifted start would not fit (frames of some 10**11 symbols or more, see
-    _key_bits), the order comes from an argsort and lo from a search
-    instead; the arithmetic is the same. That argsort is not stable, and
-    need not be: copies that share a start s sit next to each other in any
-    order, see the same lo and hi, and the expression changes by
-    ``-2s + s[k] + s[k+1] = 0`` from one of them to the next, so every
-    order of a tie gives each of them the same total. Shifted starts tie
-    only inside a frame, so this holds for the block too.
+    A block whose largest shifted start a key cannot hold raises
+    ConfigError (see _sweep); no block of the stream rule with
+    ``frame_len + tau <= 2**37`` does.
     """
     block = frame.block
-    if block is not None and block.sweep_config == config:
+    if block is not None and block.config == config:
         n = frame.starts.shape[0]
         return block.interference()[frame.row * n : (frame.row + 1) * n]
     out = _sweep(frame.starts, 1, config)
@@ -333,74 +330,61 @@ def per_copy_interference(frame: Frame, config: SystemConfig) -> np.ndarray:
     return out
 
 
-def _key_bits(n: int, frames: int, config: SystemConfig) -> int | None:
-    """Index bits of the packed sort keys of a sweep over ``n`` copies in
-    ``frames`` frames of ``config``, or None when a key could not hold the
-    block's largest shifted start.
-
-    A key is ``(shifted start << bits) | copy index`` with ``bits`` enough
-    for every index (at least 1, for the merge's tag bit), so it holds
-    shifted starts up to ``2**(63 - bits) - 1``. The largest one a block can
-    have is the last start of its last frame,
-    ``frames * (frame_len + tau) - 2 * tau``; the merge also tags keys down
-    to ``-(tau - 1)``, which fits whenever ``tau - 1`` is below the same
-    bound. A block of at most BLOCK_COPIES copies fails it only when it
-    spans 2**50 symbols, a frame of MAX_FRAME_COPIES copies when it spans
-    2**43: frames of 10**11 symbols or more (the paper's longest hold
-    200000).
-    """
-    tau = config.burst_len
-    bits = max(1, (n - 1).bit_length())
-    top = frames * (config.frame_len + tau) - 2 * tau
-    if max(top, tau - 1) >> (63 - bits):
-        return None
-    return bits
-
-
 def _sweep(starts: np.ndarray, frames: int, config: SystemConfig) -> np.ndarray:
     """Overlap on every copy of ``frames`` frames of equal size stacked by
     row in ``starts``, each frame on its own, by the offset sweep that
     per_copy_interference describes.
 
-    Only the ordering and rank step has two branches, chosen by _key_bits:
-    packed keys with one in-place sort and a merge, or, where a key would
-    not fit int64, an argsort and a search. The arithmetic after it is
-    shared. Buffers are reused in place: either branch holds eight arrays of
-    B integers at its peak (the order, copy indices, sorted starts, lo, hi,
-    prefix sums and a work buffer of 2B) and writes the totals into the
-    buffer of the sorted starts.
+    A key is ``(shifted start << bits) | copy index`` with ``bits`` enough
+    for every index (at least 1, for the merge's tag bit), so it holds
+    shifted starts up to ``2**(63 - bits) - 1``. The largest one a block can
+    have is the last start of its last frame,
+    ``top = frames * (frame_len + tau) - 2 * tau``, which also bounds every
+    frame offset; the merge tags keys down to ``-(tau - 1)``. Where either
+    would not fit, ConfigError is raised before anything is allocated. A
+    block of the stream rule holds K frames of at most BLOCK_COPIES copies
+    between them (13 index bits, top below K * 2**37 <= 2**50), or one
+    frame of at most MAX_FRAME_COPIES (20 bits, top below 2**37 < 2**43), so
+    it is never refused when ``frame_len + tau <= 2**37``, some 1.4 * 10**11
+    symbols; the paper's longest frames hold 200000.
+
+    Buffers are reused in place: the sweep holds eight arrays of B integers
+    at its peak (the order, copy indices, sorted starts, lo, hi, prefix sums
+    and a work buffer of 2B) and writes the totals into the buffer of the
+    sorted starts.
     """
     tau = config.burst_len
     n = starts.size
+    bits = max(1, (n - 1).bit_length())
+    top = frames * (config.frame_len + tau) - 2 * tau
+    if max(top, tau - 1) >> (63 - bits):
+        raise ConfigError(
+            f"cannot sweep {frames} frames of {config.frame_len} symbols with "
+            f"{tau}-symbol bursts: a sort key over {n} copies holds starts and "
+            f"burst lengths below 2**{63 - bits}, and their last shifted start is "
+            f"{top}; frame_len + burst_len up to 2**37 always fits"
+        )
     offset = np.arange(frames, dtype=np.int64)
     offset *= config.frame_len + tau
     shifted = (starts.reshape(frames, n // frames) + offset[:, None]).reshape(-1)
     k = np.arange(n, dtype=np.int64)
     work = np.empty(2 * n, dtype=np.int64)
     a, b = work[:n], work[n:]
-    bits = _key_bits(n, frames, config)
-    if bits is None:
-        order = shifted.argsort()
-        shifted.sort()
-        s = shifted
-        np.subtract(s, tau - 1, out=a)
-        lo = s.searchsorted(a)
-    else:
-        shifted <<= bits
-        shifted |= k
-        shifted.sort()
-        s = shifted >> bits
-        order = np.bitwise_and(shifted, (1 << bits) - 1, out=shifted)
-        # keys s - tau + 1 tagged 0, starts tagged 1: two sorted runs, which
-        # the stable sort (timsort) merges in one linear pass
-        np.subtract(s, tau - 1, out=a)
-        a <<= 1
-        np.left_shift(s, 1, out=b)
-        b |= 1
-        work.sort(kind="stable")
-        work &= 1
-        lo = np.flatnonzero(work == 0)
-        lo -= k
+    shifted <<= bits
+    shifted |= k
+    shifted.sort()
+    s = shifted >> bits
+    order = np.bitwise_and(shifted, (1 << bits) - 1, out=shifted)
+    # keys s - tau + 1 tagged 0, starts tagged 1: two sorted runs, which the
+    # stable sort (timsort) merges in one linear pass
+    np.subtract(s, tau - 1, out=a)
+    a <<= 1
+    np.left_shift(s, 1, out=b)
+    b |= 1
+    work.sort(kind="stable")
+    work &= 1
+    lo = np.flatnonzero(work == 0)
+    lo -= k
     hi = np.bincount(lo, minlength=n)
     hi.cumsum(out=hi)
     prefix = np.empty(n + 1, dtype=np.int64)

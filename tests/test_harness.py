@@ -105,6 +105,19 @@ class TestParseSpec:
         assert spec.out_format == "csv"
         assert spec.out_path is None
 
+    def test_reused_parser_carries_nothing_between_calls(self):
+        # the parser is built once per process: a flag one call gives must
+        # not reach the next
+        spec = parse_spec(
+            ["simulate", "--tf", "10000", "--tau", "100", "--loads", "1",
+             "--rounds", "150"]
+        )
+        assert spec.rounds == 150
+        spec = parse_spec(["analytic", "--tf", "10000", "--tau", "100", "--loads", "1"])
+        assert spec.mode == "analytic"
+        assert spec.rounds == 10000
+        assert harness._build_parser() is harness._build_parser()
+
     def test_microsecond_durations(self):
         spec = spec_of(
             ["analytic", "--tf", "100000us", "--tau", "1000us", "--ts", "1", "--loads", "1"]
@@ -415,7 +428,8 @@ class TestMain:
     @pytest.mark.parametrize(
         "argv",
         [
-            # numpy rejects both sizes before it allocates anything
+            # MAX_FRAME_COPIES and MAX_ROUNDS refuse these (WorkBoundError)
+            # before anything is placed
             ["--tf", "1000000000000000000", "--tau", "1", "--rounds", "1"],
             ["--tf", "1000", "--tau", "10", "--rounds", "100000000000000000000"],
         ],
@@ -426,6 +440,15 @@ class TestMain:
         err = capsys.readouterr().err
         assert err.startswith("divaloha: ") and err.count("\n") == 1
         assert "Traceback" not in err
+
+    @pytest.mark.parametrize("workers", ["1", "2"])
+    def test_block_too_long_to_sweep_exits_usage(self, workers, capsys):
+        # at load 0.001 a block holds 4096 one-packet frames of about 10**12
+        # symbols, past what a packed sort key holds; at load 1 it holds 4
+        base = ["simulate", "--tf", "1000000000000", "--tau", "1000000000",
+                "--rounds", "4", "--workers", workers]
+        assert_one_line_usage_error([*base, "--loads", "0.001"], capsys)
+        assert main([*base, "--loads", "1"]) == EXIT_OK
 
     @pytest.mark.parametrize(
         "grid", ["0:1e308:1e-308", "-1e308:1e308:1e-300", "0:1:1e-5", "0:2:0.00003"]

@@ -654,22 +654,27 @@ class TestBlockOverlap:
         ]
         assert lost.tolist() == want
 
-    def test_frames_too_long_to_offset_sweep_alone(self):
-        # K frames offset by frame_len + tau would pass int64: the block is
-        # not swept as one, and each frame still gets its exact overlap
+    def test_frames_too_long_to_offset_are_refused(self):
+        # K frames offset by frame_len + tau would pass int64, let alone a
+        # packed key: the block's sweep is refused, while one such frame,
+        # hand-built, is swept alone and gets its exact overlap
         tau = 10**15
         config = SystemConfig(frame_len=1000 * tau, burst_len=tau, copies=2)
         k = block_size(3, 2)
         assert k * (config.frame_len + tau) > np.iinfo(np.int64).max
-        stream = None
-        for f in range(3):
-            stream = frame_rng(6, f, stream)
-            frame = draw_frame(stream, 3, config)
-            assert frame.block.sweep_config is None
-            assert np.array_equal(
-                per_copy_interference(frame, config),
-                per_copy_interference_brute(frame, config),
+        frame = draw_frame(frame_rng(6, 0), 3, config)
+        with pytest.raises(ConfigError, match=f"cannot sweep {k} frames"):
+            per_copy_interference(frame, config)
+        last = config.start_positions - 1
+        alone = Frame(
+            np.array(
+                [[0, 2 * tau], [tau // 2, last], [last - tau + 1, 5 * tau]],
+                dtype=np.int64,
             )
+        )
+        got = per_copy_interference(alone, config)
+        assert np.array_equal(got, per_copy_interference_brute(alone, config))
+        assert got.tolist() == [[tau // 2, 0], [tau // 2, 1], [1, 0]]
 
 
 @st.composite
@@ -735,8 +740,8 @@ def shared_start_frames(draw):
 @settings(deadline=None, max_examples=25)
 @given(case=shared_start_frames())
 def test_sweep_on_shared_starts_matches_brute_and_follows_row_order(case):
-    # the sweep's sort is not stable: tie order among equal starts must not
-    # reach the result
+    # reordering the rows reorders the copy indices that break ties among
+    # equal starts: that order must not reach the result
     config, frame, perm = case
     got = per_copy_interference(frame, config)
     assert np.array_equal(got, per_copy_interference_brute(frame, config))
@@ -757,9 +762,8 @@ def sweep_block_by_frame(block, n_tx, config):
 
 class TestSweepKernel:
     """The sweep orders a block by one sort of packed int64 keys
-    ``(shifted start << bits) | copy index`` and ranks it by a merge, or,
-    where a key cannot hold the block's largest shifted start, by an
-    argsort and a search."""
+    ``(shifted start << bits) | copy index`` and ranks it by a merge; a
+    block whose largest shifted start a key cannot hold is refused."""
 
     @pytest.mark.parametrize("frames", [1, 3])
     @pytest.mark.parametrize("past", [0, 1], ids=["at_limit", "one_past"])
@@ -781,9 +785,11 @@ class TestSweepKernel:
         # copies at the frame's end overlap by tau - 1
         rows = [[last, last - 2 * tau], [last - 1, 0]] * frames
         block = simulator._Block(np.array(rows, dtype=np.int64), frames, config)
-        assert block.sweep_config == config
         assert (frames - 1) * (frame_len + tau) + last == top
-        assert (simulator._key_bits(n, frames, config) is None) == bool(past)
+        if past:
+            with pytest.raises(ConfigError, match=f"below 2\\*\\*{63 - bits},"):
+                block.interference()
+            return
         for got, want in sweep_block_by_frame(block, n_tx, config):
             assert np.array_equal(got, want)
             assert got.tolist() == [[tau - 1, 0], [tau - 1, 0]]
@@ -797,7 +803,6 @@ class TestSweepKernel:
         frames = [base, base[::-1], base, base[2:] + base[:2]]
         starts = np.array([row for f in frames for row in f], dtype=np.int64)
         block = simulator._Block(starts, len(frames), config)
-        assert simulator._key_bits(starts.size, len(frames), config) is not None
         for got, want in sweep_block_by_frame(block, len(base), config):
             assert np.array_equal(got, want)
 
@@ -807,22 +812,46 @@ class TestSweepKernel:
         config, frame, perm = case
         starts = np.concatenate([frame.starts, frame.starts[perm], frame.starts])
         block = simulator._Block(starts, 3, config)
-        assert simulator._key_bits(starts.size, 3, config) is not None
         for got, want in sweep_block_by_frame(block, frame.n_packets, config):
             assert np.array_equal(got, want)
 
-    @pytest.mark.parametrize(
-        "frame_len,packed", [(20000, True), (10**15, False)], ids=["packed", "search"]
-    )
-    def test_peak_temporary_memory(self, frame_len, packed):
-        # numpy reports its array buffers to tracemalloc. Either branch holds
+    @pytest.mark.parametrize("past", [0, 1], ids=["at_bound", "one_past"])
+    def test_most_frames_a_stream_block_holds_at_the_guaranteed_bound(self, past):
+        # BLOCK_COPIES single-copy frames: the most frames, and with them the
+        # most index bits, of any block of the stream rule. With a burst of
+        # at most BLOCK_COPIES / 2 symbols, frame_len + tau = 2**37 sweeps
+        # and one symbol more is refused before the sweep allocates anything
+        # (tracemalloc sees numpy's array buffers)
+        tau = 1000
+        config = SystemConfig(frame_len=(1 << 37) - tau + past, burst_len=tau, copies=1)
+        k = block_size(1, 1)
+        assert k == BLOCK_COPIES
+        last = config.start_positions - 1
+        starts = np.tile(np.array([[0], [last]], dtype=np.int64), (k // 2, 1))
+        block = simulator._Block(starts, k, config)
+        if past:
+            tracemalloc.start()
+            try:
+                with pytest.raises(ConfigError, match="2\\*\\*37 always fits"):
+                    block.interference()
+                peak = tracemalloc.get_traced_memory()[1]
+            finally:
+                tracemalloc.stop()
+            assert peak < 8 * k
+            return
+        assert not block.interference().any()
+        for r in (0, 1, k - 1):
+            frame = Frame(block.starts[r : r + 1], block, r)
+            assert per_copy_interference(frame, config).tolist() == [[0]]
+
+    def test_peak_temporary_memory(self):
+        # numpy reports its array buffers to tracemalloc. The sweep holds
         # eight arrays of B integers at its peak, the returned one included;
         # a ninth (one more temporary) breaks the bound of 8.5
-        config = SystemConfig(frame_len=frame_len, burst_len=1000)
+        config = SystemConfig(frame_len=20000, burst_len=1000)
         block = draw_frame(frame_rng(3, 0), 16, config).block
         size = block.starts.size
-        assert size == BLOCK_COPIES and block.sweep_config == config
-        assert (simulator._key_bits(size, block.frames, config) is not None) == packed
+        assert size == BLOCK_COPIES
         simulator._sweep(block.starts, block.frames, config)
         tracemalloc.start()
         try:
