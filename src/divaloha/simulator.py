@@ -72,15 +72,26 @@ class FrameStream:
     ``rng`` is the Philox-backed Generator it re-keys for each block; a new
     one by default. ``block`` and ``row`` are the block of the frame last
     asked of it and that frame's row in the block.
+
+    The block held is frames ``[lo, hi)`` of one seed, placed for one n_tx
+    under one config. A frame asked in that range, of that seed and n_tx,
+    under the same config (the same object, or an equal one) is a hit: its
+    starts are row ``frame_index - lo`` of the block, with no K or block
+    index computed. Anything else places the block that holds the frame.
     """
 
-    __slots__ = ("seed", "frame_index", "_rng", "_placed", "block", "row")
+    __slots__ = (
+        "seed", "frame_index", "_rng", "_seed", "_n_tx", "_config", "_lo",
+        "_hi", "block", "row",
+    )
 
     def __init__(self, rng: np.random.Generator | None = None) -> None:
         self.seed = 0
         self.frame_index = 0
         self._rng = np.random.Generator(np.random.Philox()) if rng is None else rng
-        self._placed = None  # (seed, block index, n_tx, config) of block
+        # the block held: frames _lo.._hi-1 of _seed, n_tx _n_tx, _config
+        self._seed = self._n_tx = self._config = None
+        self._lo = self._hi = 0
         self.block = None
         self.row = None
 
@@ -89,22 +100,31 @@ class FrameStream:
 
         The first frame asked of a block places the whole block, one
         ``integers`` call per copy; later frames of the same block are
-        views of it. A block that holds a dead end raises
-        PlacementImpossibleError at the first frame asked of it.
+        views of its rows. A block that holds a dead end raises
+        PlacementImpossibleError at the first frame asked of it, and the
+        stream keeps the block it held before.
         """
-        if n_tx < 0:
-            raise InvalidParameterError(f"n_tx must be >= 0, got {n_tx}")
-        # K of the stream rule; an empty frame's block is empty whatever K is
-        k = max(1, BLOCK_COPIES // (n_tx * config.copies or 1))
-        block, row = divmod(self.frame_index, k)
-        placed = (self.seed, block, n_tx, config)
-        if placed != self._placed:
-            self._placed = None
+        f = self.frame_index
+        placed = self._config
+        if not (
+            self._lo <= f < self._hi
+            and self.seed == self._seed
+            and n_tx == self._n_tx
+            and (config is placed or config == placed)
+        ):
+            if n_tx < 0:
+                raise InvalidParameterError(f"n_tx must be >= 0, got {n_tx}")
+            # K of the stream rule; an empty frame's block is empty whatever K is
+            k = max(1, BLOCK_COPIES // (n_tx * config.copies or 1))
+            block = f // k
             _rekey(self._rng, self.seed, block)
             self.block = _Block(_place(self._rng, k * n_tx, config), k, config)
-            self._placed = placed
+            self._seed, self._n_tx, self._config = self.seed, n_tx, config
+            self._lo = block * k
+            self._hi = self._lo + k
+        row = f - self._lo
         self.row = row
-        return self.block.starts[row * n_tx : (row + 1) * n_tx]
+        return self.block.rows[row]
 
 
 class _Block:
@@ -113,23 +133,27 @@ class _Block:
     the overlap on every copy in them, swept once when a frame first asks
     for it (see per_copy_interference). It lives as long as the stream or a
     frame refers to it.
+
+    ``rows`` is a (frames, n_tx, copies) view of ``starts``, so frame r's
+    starts are ``rows[r]``; ``interference()`` has the same shape.
     """
 
-    __slots__ = ("starts", "frames", "config", "_interference")
+    __slots__ = ("starts", "rows", "frames", "config", "_interference")
 
     def __init__(self, starts: np.ndarray, frames: int, config: SystemConfig) -> None:
         starts.flags.writeable = False
         self.starts = starts
+        self.rows = starts.reshape(frames, starts.shape[0] // frames, starts.shape[1])
         self.frames = frames
         self.config = config
         self._interference = None
 
     def interference(self) -> np.ndarray:
-        """Read-only overlap on every copy of the block, shaped as ``starts``."""
+        """Read-only overlap on every copy of the block, shaped as ``rows``."""
         if self._interference is None:
             inter = _sweep(self.starts, self.frames, self.config)
             inter.flags.writeable = False
-            self._interference = inter
+            self._interference = inter.reshape(self.rows.shape)
         return self._interference
 
 
@@ -182,18 +206,29 @@ def point_seed(master_seed: int, point_index: int) -> int:
     return int(ss.generate_state(1, np.uint64)[0])
 
 
-@dataclass(frozen=True, eq=False)
 class Frame:
     """Start symbol of every transmitted copy, one row per packet.
 
     A drawn frame also refers to the block it was placed in and its row
-    there: it is rows ``row * n_packets`` up to ``(row + 1) * n_packets``
-    of ``block.starts``. A hand-built ``Frame(starts)`` has neither.
+    there: its starts are ``block.rows[row]``. A hand-built
+    ``Frame(starts)`` has neither.
+
+    A plain class with slots rather than a frozen dataclass, because a
+    frame is built on every draw: its attributes can be rebound, so treat
+    them as read-only. Frames compare by identity.
     """
 
-    starts: np.ndarray  # (n_packets, copies) int64
-    block: _Block | None = None
-    row: int | None = None
+    __slots__ = ("starts", "block", "row")
+
+    def __init__(
+        self,
+        starts: np.ndarray,  # (n_packets, copies) int64
+        block: _Block | None = None,
+        row: int | None = None,
+    ) -> None:
+        self.starts = starts
+        self.block = block
+        self.row = row
 
     @property
     def n_packets(self) -> int:
@@ -213,6 +248,11 @@ def draw_frame(stream: FrameStream, n_tx: int, config: SystemConfig) -> Frame:
     read-only view of the block, and the frame keeps the block and its row
     in it. A block that holds a dead end raises PlacementImpossibleError at
     the first frame drawn from it.
+
+    ``stream`` is duck-typed: this calls ``stream.starts(n_tx, config)``
+    once and then reads ``stream.block`` and ``stream.row`` from the object
+    it was given, so a forwarding proxy of a FrameStream (one that counts
+    the values its method calls return, say) draws the same frame.
     """
     starts = stream.starts(n_tx, config)
     return Frame(starts, stream.block, stream.row)
@@ -285,7 +325,10 @@ def per_copy_interference(frame: Frame, config: SystemConfig) -> np.ndarray:
     under the config the block was placed under) sweeps all K frames of it
     at once, and every frame of the block then returns a view of its rows.
     A hand-built frame, or one asked under another config, is swept alone,
-    as a block of K = 1. Either way a frame gets the same integers:
+    as a block of K = 1. The config check tries identity before equality,
+    and a drawn frame's overlap is row ``frame.row`` of the block's
+    (K, n_packets, copies) overlap. Either way a frame gets the same
+    integers:
 
     Frame r of the block is first shifted by ``r * (frame_len + tau)``. A
     frame's starts lie in ``0 .. frame_len - tau``, so the nearest starts of
@@ -322,9 +365,10 @@ def per_copy_interference(frame: Frame, config: SystemConfig) -> np.ndarray:
     ``frame_len + tau <= 2**37`` does.
     """
     block = frame.block
-    if block is not None and block.config == config:
-        n = frame.starts.shape[0]
-        return block.interference()[frame.row * n : (frame.row + 1) * n]
+    if block is not None:
+        placed = block.config
+        if placed is config or placed == config:
+            return block.interference()[frame.row]
     out = _sweep(frame.starts, 1, config)
     out.flags.writeable = False
     return out
@@ -426,18 +470,32 @@ def decode_frame(
     """Number of packets lost: a packet survives if any of its copies carries
     no more interference than the budget allows.
 
+    ``interference`` must be an (n_packets, copies) array, as
+    per_copy_interference returns; any other shape raises
+    InvalidParameterError rather than being regrouped.
+
     A packet is lost exactly when its least-interfered copy exceeds the
     budget. The least interference is a running minimum over the copy
-    columns: one elementwise pass per copy, with no per-row reduction and
-    the same code for every copy count.
+    columns: one ``np.minimum`` per copy after the first, then one compare
+    and one count, with no per-row reduction and the same code for every
+    copy count.
     """
-    arr = np.asarray(interference).reshape(-1, copies)
-    if not budget.decodable:
-        return arr.shape[0]
-    least = arr[:, 0]
+    try:
+        n_packets, columns = interference.shape
+    except (AttributeError, ValueError):
+        columns = None
+    if columns != copies:
+        shape = getattr(interference, "shape", type(interference).__name__)
+        raise InvalidParameterError(
+            f"interference must be an (n_packets, {copies}) array, got {shape}"
+        )
+    limit = budget.max_interference
+    if limit is None:
+        return n_packets
+    least = interference[:, 0]
     for c in range(1, copies):
-        least = np.minimum(least, arr[:, c])
-    return int(np.count_nonzero(least > budget.max_interference))
+        least = np.minimum(least, interference[:, c])
+    return int(np.count_nonzero(least > limit))
 
 
 @dataclass(frozen=True)
@@ -464,22 +522,25 @@ def _frames_lost(
     """Packets lost in each of frames frame_lo..frame_hi-1.
 
     One FrameStream serves the chunk, so a block of frames is placed once
-    and each frame is its slice, byte for byte the frame a fresh
+    and each frame is its row, byte for byte the frame a fresh
     ``frame_rng(seed, f)`` gives. Each stage is still called once per frame,
     and both the draw and the overlap amortize their work over the block:
     the first frame of a block places it, the first sweep of it sweeps all
-    its frames, and the other frames get views of both. A chunk that starts
-    or ends inside a block places and sweeps that whole block. Module-level,
-    so a process pool can pickle a partial of it; the per-frame functions
-    are looked up at call time.
+    its frames, and the other frames get views of both. A warm frame, one
+    whose block is placed and swept, costs a range test in the stream, a
+    row view of the starts and of the overlap, and the decode's few numpy
+    calls. A chunk that starts or ends inside a block places and sweeps
+    that whole block. Module-level, so a process pool can pickle a partial
+    of it; the per-frame functions are looked up at call time.
     """
     lost = np.empty(frame_hi - frame_lo, dtype=np.int64)
+    copies = config.copies
     stream = None
     for f in range(frame_lo, frame_hi):
         stream = frame_rng(seed, f, stream)
         frame = draw_frame(stream, n_tx, config)
         interference = per_copy_interference(frame, config)
-        lost[f - frame_lo] = decode_frame(interference, budget, config.copies)
+        lost[f - frame_lo] = decode_frame(interference, budget, copies)
     return lost
 
 

@@ -5,6 +5,8 @@ import contextlib
 import io
 import json
 import os
+import subprocess
+import sys
 import time
 
 import pytest
@@ -497,6 +499,18 @@ class TestMain:
         )
         assert code == EXIT_OK
         assert out.exists()
+
+
+def test_runs_as_a_module_from_a_source_checkout():
+    # python -m divaloha with only the source tree on the path
+    src = os.path.dirname(os.path.dirname(os.path.abspath(harness.__file__)))
+    env = dict(os.environ, PYTHONPATH=src)
+    out = subprocess.run(
+        [sys.executable, "-m", "divaloha", "threshold", "--tau", "1000"],
+        env=env, capture_output=True, text=True, timeout=60,
+    )
+    assert out.returncode == EXIT_OK, out.stderr
+    assert "max_interference: 900" in out.stdout.splitlines()
 
 
 class TestDeterminism:

@@ -176,6 +176,70 @@ class TestFrameRngRekey:
         assert _frames_lost(config, budget, 30, 9, 120, 290).tolist() == want
 
 
+class TestStreamHits:
+    """A reused FrameStream serves a frame from the block it holds when the
+    frame lies in that block's range and the seed, n_tx and config value
+    are the ones it was placed for; anything else places a new block."""
+
+    def test_places_once_per_distinct_block(self, monkeypatch):
+        config = SystemConfig(frame_len=20000, burst_len=1000)
+        twin = SystemConfig(20000, 1000)
+        other = SystemConfig(frame_len=20000, burst_len=500)
+        assert twin == config and twin is not config
+        k30, k16 = block_size(30, 2), block_size(16, 2)
+        assert (k30, k16) == (136, 256)
+        visits = [
+            (9, k30 - 2, 30, config),  # places block 0
+            (9, k30 - 1, 30, config),  # its last frame
+            (9, k30, 30, config),  # across the edge: block 1
+            (9, k30 + 1, 30, twin),  # a value-equal config: no new block
+            (10, k30 + 1, 30, twin),  # a second seed
+            (10, k30 + 2, 30, config),
+            (10, k30 + 2, 16, config),  # a second n_tx: block 0 of K = 256
+            (10, k30 + 2, 16, other),  # a different config
+            (10, k30 + 3, 16, other),
+        ]
+        want = [reference_frame(*visit) for visit in visits]
+        placed, swept = [], []
+
+        def place_spy(rng, n, config, _real=simulator._place):
+            key = rng.bit_generator.state["state"]["key"].tolist()
+            placed.append((key[1], key[0], n, config))
+            return _real(rng, n, config)
+
+        def sweep_spy(starts, frames, config, _real=simulator._sweep):
+            swept.append((starts.shape, frames, config))
+            return _real(starts, frames, config)
+
+        monkeypatch.setattr(simulator, "_place", place_spy)
+        monkeypatch.setattr(simulator, "_sweep", sweep_spy)
+        stream = None
+        for (seed, f, n_tx, asked), starts in zip(visits, want):
+            stream = frame_rng(seed, f, stream)
+            frame = draw_frame(stream, n_tx, asked)
+            assert np.array_equal(frame.starts, starts)
+            got = per_copy_interference(frame, asked)
+            assert np.array_equal(got, frame.block.interference()[frame.row])
+            assert np.array_equal(got, per_copy_interference_brute(frame, asked))
+        # (seed, block, copies placed, config): one placement each
+        assert placed == [
+            (9, 0, k30 * 30, config),
+            (9, 1, k30 * 30, config),
+            (10, 1, k30 * 30, config),
+            (10, 0, k16 * 16, config),
+            (10, 0, k16 * 16, other),
+        ]
+        # every overlap is a view of its block's one sweep, never a frame
+        # swept alone, the frames asked under the value-equal config included
+        assert swept == [
+            ((k30 * 30, 2), k30, config),
+            ((k30 * 30, 2), k30, config),
+            ((k30 * 30, 2), k30, config),
+            ((k16 * 16, 2), k16, config),
+            ((k16 * 16, 2), k16, other),
+        ]
+
+
 class CountingProxy:
     """Forwards every attribute of a stream and counts the values returned
     by method calls, as a benchmark's counting wrapper does."""
@@ -879,6 +943,19 @@ class TestDecodeFrame:
 
     def test_empty(self):
         assert decode_frame(np.empty((0, 2)), DecodeBudget(10), copies=2) == 0
+
+    @pytest.mark.parametrize(
+        "interference, copies",
+        [(np.full((4, 2), 99), 4), (np.arange(6), 2), (np.zeros((3, 2, 2)), 2)],
+        ids=["wrong_copies", "one_d", "three_d"],
+    )
+    @pytest.mark.parametrize(
+        "budget", [DecodeBudget(50), DecodeBudget(None)], ids=["decodable", "undecodable"]
+    )
+    def test_refuses_other_shapes(self, interference, copies, budget):
+        # rows are never regrouped into another copy count
+        with pytest.raises(InvalidParameterError, match=f"\\(n_packets, {copies}\\)"):
+            decode_frame(interference, budget, copies)
 
 
 def decode_reference(interference, budget, copies):
