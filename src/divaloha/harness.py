@@ -28,12 +28,7 @@ import numpy as np
 from . import __version__
 from .analytic import analytic_curve
 from .config import SystemConfig
-from .errors import (
-    ConfigError,
-    DivalohaError,
-    InvalidParameterError,
-    PlacementImpossibleError,
-)
+from .errors import DivalohaError
 from .link import LinkModel
 from .simulator import (
     RNG_ALGORITHM,
@@ -78,8 +73,37 @@ _AUTO_TIGHT_RATIO = 100.0
 MAX_LOADS = 1 << 16
 
 
+# Every option but --config, declared once: its default (None for none) and
+# its help. A config file takes the same names, with '_' for '-'.
+_OPTIONS = {
+    "tf": (None, "frame length (symbols, or e.g. '100000us')"),
+    "tau": (None, "burst length (symbols, or e.g. '1000us')"),
+    "ts": ("1", "symbol time in microseconds"),
+    "copies": ("2", "copies per packet"),
+    "mod": ("4", "modulation order"),
+    "rate": ("0.5", "code rate"),
+    "snr_db": ("10", "burst SNR in dB"),
+    "snir_dec_db": (None, "decoder SNIR threshold override in dB"),
+    "loads": (None, "normalized load grid: start:stop:step or comma list"),
+    "rounds": ("10000", "simulated frames per load"),
+    "seed": ("1", "master seed"),
+    "workers": ("1", "process count"),
+    "policy": (None, "compare policy, tight or lower-bound (default: by frame/burst ratio)"),
+    "format": ("csv", "output format, csv or json"),
+    "out": (None, "output path (default: stdout)"),
+}
+
+
 class UsageError(DivalohaError):
     """Bad flags or an inconsistent run specification."""
+
+
+class _Parser(argparse.ArgumentParser):
+    """An ArgumentParser that raises UsageError where argparse would print
+    its usage block and exit; its subparsers are of this class too."""
+
+    def error(self, message):
+        raise UsageError(message)
 
 
 @dataclass(frozen=True)
@@ -153,8 +177,6 @@ def _duration_to_symbols(text: str, ts_us: float, flag: str) -> int:
         raise UsageError(
             f"{flag} = {text!r} is {value} symbols, not a whole number"
         )
-    if rounded < 1:
-        raise UsageError(f"{flag} must be at least 1 symbol, got {text!r}")
     return int(rounded)
 
 
@@ -208,12 +230,12 @@ def _parse_loads(value) -> tuple[float, ...]:
     return tuple(items)
 
 
-def _parse_int(value, flag: str, minimum: int) -> int:
+def _parse_int(value, flag: str, minimum: int | None = None) -> int:
     try:
         out = int(value)
     except (TypeError, ValueError):
         raise UsageError(f"cannot parse {flag} value {value!r}") from None
-    if out < minimum:
+    if minimum is not None and out < minimum:
         raise UsageError(f"{flag} must be >= {minimum}, got {out}")
     return out
 
@@ -228,7 +250,7 @@ def _parse_float(value, flag: str) -> float:
 @functools.cache
 def _build_parser() -> argparse.ArgumentParser:
     """The CLI parser, built once per process: parse_args leaves it as it was."""
-    parser = argparse.ArgumentParser(
+    parser = _Parser(
         prog="divaloha",
         description="Packet loss and throughput of two-copy asynchronous diversity Aloha",
     )
@@ -236,49 +258,11 @@ def _build_parser() -> argparse.ArgumentParser:
     for mode in _MODES:
         p = sub.add_parser(mode, help=f"{mode} run")
         p.add_argument("--config", help="JSON file preloading any option below")
-        p.add_argument("--tf", help="frame length (symbols, or e.g. '100000us')")
-        p.add_argument("--tau", help="burst length (symbols, or e.g. '1000us')")
-        p.add_argument("--ts", help="symbol time in microseconds (default 1)")
-        p.add_argument("--copies", help="copies per packet (default 2)")
-        p.add_argument("--mod", help="modulation order (default 4)")
-        p.add_argument("--rate", help="code rate (default 0.5)")
-        p.add_argument("--snr-db", help="burst SNR in dB (default 10)")
-        p.add_argument(
-            "--snir-dec-db", help="decoder SNIR threshold override in dB"
-        )
-        p.add_argument(
-            "--loads", help="normalized load grid: start:stop:step or comma list"
-        )
-        p.add_argument("--rounds", help="simulated frames per load (default 10000)")
-        p.add_argument("--seed", help="master seed (default 1)")
-        p.add_argument("--workers", help="process count (default 1)")
-        p.add_argument(
-            "--policy",
-            choices=_POLICIES,
-            help="compare policy (default: by frame/burst ratio)",
-        )
-        p.add_argument("--format", choices=("csv", "json"), help="output format")
-        p.add_argument("--out", help="output path (default: stdout)")
+        for dest, (default, text) in _OPTIONS.items():
+            if default is not None:
+                text = f"{text} (default {default})"
+            p.add_argument("--" + dest.replace("_", "-"), help=text)
     return parser
-
-
-_DEFAULTS = {
-    "tf": None,
-    "tau": None,
-    "ts": "1",
-    "copies": "2",
-    "mod": "4",
-    "rate": "0.5",
-    "snr_db": "10",
-    "snir_dec_db": None,
-    "loads": None,
-    "rounds": "10000",
-    "seed": "1",
-    "workers": "1",
-    "policy": None,
-    "format": "csv",
-    "out": None,
-}
 
 
 def _load_config_file(path: str) -> dict:
@@ -291,7 +275,7 @@ def _load_config_file(path: str) -> dict:
         raise UsageError(f"config file {path} is not valid JSON: {exc}") from None
     if not isinstance(data, dict):
         raise UsageError(f"config file {path} must hold a JSON object")
-    unknown = set(data) - set(_DEFAULTS)
+    unknown = set(data) - set(_OPTIONS)
     if unknown:
         raise UsageError(
             f"config file {path} has unknown keys: {', '.join(sorted(unknown))}"
@@ -313,7 +297,7 @@ def parse_spec(argv) -> RunSpec:
             return cli
         if dest in from_file and from_file[dest] is not None:
             return from_file[dest]
-        return _DEFAULTS[dest]
+        return _OPTIONS[dest][0]
 
     mode = ns.mode
     ts_us = _parse_ts(str(pick("ts")))
@@ -336,13 +320,15 @@ def parse_spec(argv) -> RunSpec:
             raise UsageError(f"--loads is required for {mode}")
         loads = _parse_loads(loads_raw)
 
-    copies = _parse_int(pick("copies"), "--copies", 1)
-    modulation_order = _parse_int(pick("mod"), "--mod", 2)
+    # geometry and link values are refused by SystemConfig and LinkModel
+    copies = _parse_int(pick("copies"), "--copies")
+    modulation_order = _parse_int(pick("mod"), "--mod")
     code_rate = _parse_float(pick("rate"), "--rate")
     snr_db = _parse_float(pick("snr_db"), "--snr-db")
     snir_raw = pick("snir_dec_db")
     snir_dec_db = None if snir_raw is None else _parse_float(snir_raw, "--snir-dec-db")
 
+    # refused here, before compare's analytic fold runs
     rounds = _parse_int(pick("rounds"), "--rounds", 1)
     seed = _parse_int(pick("seed"), "--seed", 0)
     workers = _parse_int(pick("workers"), "--workers", 1)
@@ -406,10 +392,10 @@ def build_rows(spec: RunSpec) -> tuple[list[dict], str | None]:
     rows = [dict.fromkeys(CSV_COLUMNS) for _ in spec.loads]
 
     # refuse an over-bound load or frame count before any analytic or
-    # simulated work
-    for g in spec.loads:
-        _require_frame_bound(config, g)
+    # simulated work; analytic_curve checks its own fold bound
     if spec.mode in ("simulate", "compare"):
+        for g in spec.loads:
+            _require_frame_bound(config, g)
         _require_rounds_bound(spec.rounds)
     if spec.mode in ("analytic", "compare"):
         for row, pt in zip(rows, analytic_curve(config, link, spec.loads)):
@@ -537,26 +523,21 @@ def run(spec: RunSpec) -> int:
 
 
 def main(argv=None) -> int:
+    """Run the CLI. Exit 0 ok, 1 compare found disagreement, 2 refused input
+    (work bounds included), 3 a fault; 2 and 3 print one ``divaloha: ``
+    line on stderr."""
     try:
         return run(parse_spec(argv))
     except SystemExit as exc:
+        # --help: argparse exits for nothing else once error() raises
         return exc.code if isinstance(exc.code, int) else EXIT_USAGE
-    except (
-        ConfigError,
-        InvalidParameterError,
-        PlacementImpossibleError,
-        UsageError,
-    ) as exc:
-        print(f"divaloha: {exc}", file=sys.stderr)
-        return EXIT_USAGE
-    except (DivalohaError, OSError) as exc:
-        print(f"divaloha: {exc}", file=sys.stderr)
-        return EXIT_RUNTIME
+    except DivalohaError as exc:
+        code, message = EXIT_USAGE, str(exc)
     except Exception as exc:
         # an unforeseen fault is a runtime failure, never a compare verdict
-        detail = " ".join(str(exc).split())
-        print(f"divaloha: {type(exc).__name__}: {detail}", file=sys.stderr)
-        return EXIT_RUNTIME
+        code, message = EXIT_RUNTIME, f"{type(exc).__name__}: {exc}"
+    print("divaloha:", " ".join(message.split()), file=sys.stderr)
+    return code
 
 
 if __name__ == "__main__":

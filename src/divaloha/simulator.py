@@ -102,7 +102,8 @@ class FrameStream:
         ``integers`` call per copy; later frames of the same block are
         views of its rows. A block that holds a dead end raises
         PlacementImpossibleError at the first frame asked of it, and the
-        stream keeps the block it held before.
+        stream keeps the block it held before. A seed or block index
+        outside 0..2**64-1 raises InvalidParameterError.
         """
         f = self.frame_index
         placed = self._config
@@ -117,6 +118,15 @@ class FrameStream:
             # K of the stream rule; an empty frame's block is empty whatever K is
             k = max(1, BLOCK_COPIES // (n_tx * config.copies or 1))
             block = f // k
+            # each is one 64-bit word of the key: outside, it would alias
+            if not 0 <= self.seed <= _MASK64:
+                raise InvalidParameterError(
+                    f"seed must be in 0..2**64-1, got {self.seed}"
+                )
+            if not 0 <= block <= _MASK64:
+                raise InvalidParameterError(
+                    f"frame {f} is in block {block}, outside 0..2**64-1"
+                )
             _rekey(self._rng, self.seed, block)
             self.block = _Block(_place(self._rng, k * n_tx, config), k, config)
             self._seed, self._n_tx, self._config = self.seed, n_tx, config
@@ -164,13 +174,15 @@ def _rekey(rng: np.random.Generator, seed: int, block: int) -> None:
 
     The state setter reads ``counter``, ``key`` and ``buffer`` element by
     element, so they are given as tuples of plain ints: no uint64 array is
-    built or parsed per block, and the key words are the same.
+    built or parsed per block, and the key words are the same. ``seed`` and
+    ``block`` are each one key word, in 0..2**64-1 (``FrameStream.starts``
+    checks them).
     """
     rng.bit_generator.state = {
         "bit_generator": "Philox",
         "state": {
             "counter": (0, 0, 0, 0),
-            "key": (block & _MASK64, seed & _MASK64),
+            "key": (block, seed),
         },
         "buffer": (0, 0, 0, 0),
         "buffer_pos": 4,
@@ -201,7 +213,9 @@ def frame_rng(
 
 def point_seed(master_seed: int, point_index: int) -> int:
     """Per-point seed for sweeps, derived so duplicate grid loads still get
-    distinct streams."""
+    distinct streams. A negative master seed raises InvalidParameterError."""
+    if master_seed < 0:
+        raise InvalidParameterError(f"master seed must be >= 0, got {master_seed}")
     ss = np.random.SeedSequence([master_seed, point_index])
     return int(ss.generate_state(1, np.uint64)[0])
 

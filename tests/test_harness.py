@@ -430,16 +430,20 @@ class TestMain:
     @pytest.mark.parametrize(
         "argv",
         [
-            # MAX_FRAME_COPIES and MAX_ROUNDS refuse these (WorkBoundError)
-            # before anything is placed
-            ["--tf", "1000000000000000000", "--tau", "1", "--rounds", "1"],
-            ["--tf", "1000", "--tau", "10", "--rounds", "100000000000000000000"],
+            # a fault, not bad input: the output cannot be opened, under a
+            # regular file or as a directory
+            ["--out", "file/out.csv"],
+            ["--out", "dir"],
         ],
     )
-    def test_unexpected_error_exits_runtime(self, argv, capsys):
-        code = main(["simulate", *argv, "--loads", "1"])
+    def test_unexpected_error_exits_runtime(self, argv, tmp_path, monkeypatch, capsys):
+        (tmp_path / "file").write_text("")
+        (tmp_path / "dir").mkdir()
+        monkeypatch.setenv(OUT_DIR_ENV, str(tmp_path))
+        code = main(["analytic", "--tf", "1000", "--tau", "10", "--loads", "1", *argv])
         assert code == EXIT_RUNTIME
-        err = capsys.readouterr().err
+        out, err = capsys.readouterr()
+        assert out == ""
         assert err.startswith("divaloha: ") and err.count("\n") == 1
         assert "Traceback" not in err
 
@@ -513,6 +517,32 @@ def test_runs_as_a_module_from_a_source_checkout():
     assert "max_interference: 900" in out.stdout.splitlines()
 
 
+def run_module(*argv):
+    """python -m divaloha with only the source tree on the path."""
+    src = os.path.dirname(os.path.dirname(os.path.abspath(harness.__file__)))
+    return subprocess.run(
+        [sys.executable, "-m", "divaloha", *argv],
+        env=dict(os.environ, PYTHONPATH=src), capture_output=True, text=True, timeout=60,
+    )
+
+
+@pytest.mark.parametrize("argv", [["analytic", "--wat", "1"], []], ids=["flag", "no-mode"])
+def test_module_refuses_bad_input_in_one_line(argv):
+    # argparse's own usage block and exit never reach the terminal
+    out = run_module(*argv)
+    assert out.returncode == EXIT_USAGE
+    assert out.stdout == ""
+    lines = out.stderr.splitlines()
+    assert len(lines) == 1 and lines[0].startswith("divaloha: ")
+
+
+def test_module_help_lists_policies_and_formats():
+    out = run_module("analytic", "--help")
+    assert out.returncode == EXIT_OK, out.stderr
+    for word in ("tight", "lower-bound", "csv", "json"):
+        assert word in out.stdout
+
+
 class TestDeterminism:
     def test_csv_bytes_stable_across_runs(self, tmp_path):
         argv = [
@@ -545,15 +575,25 @@ _GOOD_LOADS = ["0.5", "0.2,0.9", "0:1:0.5", "1.4"]
 _BAD_GRIDS = ["nan:1:0.5", "0:1:0", "1:0:0.5", "0:1e308:1e-308", "0:1:1e-5"]
 
 # --config files, written once per module: a valid file, one whose loads are
-# a list, one whose loads are an overflowing grid, one that is not JSON and
-# one with a key no flag has
+# a list, one whose loads are an overflowing grid, one that is not JSON, one
+# with a key no flag has and one with a policy that does not exist
 _CONFIG_FILES = {
     "plain": '{"tf": 1000, "tau": 5, "rounds": 2}',
     "list_loads": '{"loads": [0.3, 0.6], "seed": 4}',
     "bad_grid": '{"loads": "0:1e308:1e-308"}',
     "not_json": "{tf: 1000",
     "unknown_key": '{"frames": 3}',
+    "bad_policy": '{"policy": "bogus"}',
 }
+
+# inputs every mode refuses
+_REFUSED_FLAGS = [["--wat=1"], ["--policy=bogus"], ["--format=xml"]]
+# more than MAX_FRAME_COPIES copies in a frame at any drawn load, refused by
+# every mode that reads the frame; analytic by its fold bound
+_OVER_BOUND_FRAME = ["--tf=1000000000000000000", "--tau=1"]
+# 499999 fold steps, inside the frame bound; simulate would place the frame
+_OVER_BOUND_FOLD = ["--tf=1000000", "--tau=2", "--loads=1"]
+_OVER_BOUND_ROUNDS = "1048577"
 
 
 @pytest.fixture(scope="module")
@@ -568,8 +608,8 @@ def contract_configs(tmp_path_factory):
 
 @st.composite
 def contract_argv(draw):
-    """(argv, name of the --config file or None, whether the loads are a bad
-    grid)."""
+    """(mode, argv, name of the --config file or None, whether the input
+    must be refused)."""
     mode = draw(st.sampled_from(["threshold", "analytic", "simulate", "compare"]))
     flags = draw(
         st.dictionaries(
@@ -589,33 +629,52 @@ def contract_argv(draw):
     loads = draw(st.sampled_from([None, *_GOOD_LOADS, *_BAD_GRIDS]))
     if loads is not None:
         argv.append(f"--loads={loads}")
+    rounds = None
     if mode in ("simulate", "compare"):
-        argv.append(f"--rounds={draw(st.sampled_from(['1', '3']))}")
+        rounds = draw(st.sampled_from(["1", "3", _OVER_BOUND_ROUNDS]))
+        argv.append(f"--rounds={rounds}")
     config = draw(st.sampled_from([None, *_CONFIG_FILES]))
     bad_grid = loads in _BAD_GRIDS or (loads is None and config == "bad_grid")
-    return argv, config, bad_grid
+    refused = (
+        (bad_grid and mode != "threshold")
+        or rounds == _OVER_BOUND_ROUNDS
+        or config == "bad_policy"
+    )
+    over_bound = {"threshold": [], "simulate": [_OVER_BOUND_FRAME]}.get(
+        mode, [_OVER_BOUND_FRAME, _OVER_BOUND_FOLD]
+    )
+    extra = draw(st.sampled_from([None, "no mode", *_REFUSED_FLAGS, *over_bound]))
+    if extra == "no mode":
+        argv = argv[1:]
+    elif extra is not None:
+        # last, so that its --tf, --tau and --loads win over the drawn ones
+        argv += extra
+    return mode, argv, config, refused or extra is not None
 
 
 class TestCliContract:
     @settings(max_examples=300, deadline=None)
     @given(case=contract_argv())
     def test_every_outcome_is_ok_or_one_line_error(self, case, contract_configs):
-        argv, config, bad_grid = case
+        mode, argv, config, refused = case
         if config is not None:
             argv = [*argv, f"--config={contract_configs[config]}"]
         out, err = io.StringIO(), io.StringIO()
         with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
             code = main(argv)
-        assert code in (EXIT_OK, EXIT_COMPARE_FAILED, EXIT_USAGE, EXIT_RUNTIME)
+        # no input in the pool is a fault: every one runs or is refused
+        assert code in (EXIT_OK, EXIT_COMPARE_FAILED, EXIT_USAGE)
         # exit 1 is compare's verdict and nothing else
         if code == EXIT_COMPARE_FAILED:
-            assert argv[0] == "compare"
-        # every mode but threshold reads --loads, and a bad grid is bad input
-        if bad_grid and argv[0] != "threshold":
+            assert mode == "compare"
+        # a bad grid (in every mode but threshold, which reads no --loads),
+        # a bad flag, a missing mode and an over-bound run are bad input
+        if refused:
             assert code == EXIT_USAGE
         assert "Traceback" not in out.getvalue() + err.getvalue()
         if code in (EXIT_OK, EXIT_COMPARE_FAILED):
             assert err.getvalue() == ""
         else:
+            assert out.getvalue() == ""
             lines = err.getvalue().splitlines()
             assert len(lines) == 1 and lines[0].startswith("divaloha: ")

@@ -35,7 +35,7 @@ from divaloha import (
 )
 from divaloha import analytic, harness, simulator
 from divaloha.analytic import MAX_FOLD_STEPS
-from divaloha.harness import EXIT_OK, EXIT_RUNTIME, EXIT_USAGE, main
+from divaloha.harness import EXIT_OK, EXIT_USAGE, main
 from divaloha.simulator import (
     BLOCK_COPIES,
     MAX_FRAME_COPIES,
@@ -141,6 +141,33 @@ class TestFrameRngRekey:
             for rng in dirty_generators():
                 stream = frame_rng(seed, f, simulator.FrameStream(rng))
                 assert np.array_equal(draw_frame(stream, 20, config).starts, want)
+
+    @pytest.mark.parametrize("copies", [1, 2])
+    def test_keys_outside_64_bits_are_refused(self, copies):
+        # a seed or block index past one key word would alias another frame:
+        # frame -1 to frame 2**64 * K - 1, frame 2**64 * K to frame 0
+        config = SystemConfig(frame_len=3000, burst_len=100, copies=copies)
+        k = block_size(20, copies)
+        top = (1 << 64) - 1
+        last = (1 << 64) * k - 1
+        stream = frame_rng(top, last)
+        got = draw_frame(stream, 20, config).starts
+        assert np.array_equal(got, reference_frame(top, last, 20, config))
+        for seed, f in [(9, -1), (9, -k), (top, last + 1), (-1, last), (1 << 64, 0)]:
+            with pytest.raises(InvalidParameterError, match="2\\*\\*64-1"):
+                draw_frame(frame_rng(seed, f, stream), 20, config)
+            with pytest.raises(InvalidParameterError, match="2\\*\\*64-1"):
+                draw_frame(frame_rng(seed, f), 20, config)
+
+    def test_seed_outside_64_bits_is_refused_by_estimate_and_sweep(self):
+        config = SystemConfig(frame_len=3000, burst_len=100)
+        for seed in (-1, 1 << 64):
+            with pytest.raises(InvalidParameterError):
+                estimate_point(config, LINK_10DB, 0.5, 3, seed)
+        # the master seed of a sweep may be any size, but not negative
+        with pytest.raises(InvalidParameterError, match="master seed"):
+            sweep(config, LINK_10DB, [0.5], 3, -1)
+        assert len(sweep(config, LINK_10DB, [0.5], 3, 1 << 64)) == 1
 
     @pytest.mark.parametrize("n_tx, copies", [(1, 1), (30, 2), (7, 3)])
     def test_block_edge(self, n_tx, copies):
@@ -1165,7 +1192,7 @@ class TestFrameCopyBound:
     @pytest.mark.parametrize("tf", ["1000000000", "1000000000000000000"])
     def test_cli_refuses_huge_frame(self, tf, no_placement, capsys):
         argv = ["simulate", "--tf", tf, "--tau", "1", "--loads", "1", "--rounds", "1"]
-        assert main(argv) == EXIT_RUNTIME
+        assert main(argv) == EXIT_USAGE
         err = capsys.readouterr().err
         assert err.startswith("divaloha: ") and err.count("\n") == 1
         assert str(MAX_FRAME_COPIES) in err
@@ -1206,7 +1233,7 @@ class TestRoundsBound:
     @pytest.mark.parametrize("mode", ["simulate", "compare"])
     def test_cli(self, mode, no_loop, capsys):
         argv = [mode, "--tf", "20000", "--tau", "1000", "--loads", "0.5"]
-        assert main([*argv, "--rounds", str(MAX_ROUNDS + 1)]) == EXIT_RUNTIME
+        assert main([*argv, "--rounds", str(MAX_ROUNDS + 1)]) == EXIT_USAGE
         err = capsys.readouterr().err
         assert err.startswith("divaloha: ") and err.count("\n") == 1
         assert str(MAX_ROUNDS) in err
@@ -1232,8 +1259,9 @@ class TestBoundBeforeAnyWork:
         def work(*args, **kwargs):
             raise AssertionError("work started before the bound was checked")
 
-        monkeypatch.setattr(harness, "analytic_curve", work)
+        monkeypatch.setattr(analytic, "_fold", work)
         monkeypatch.setattr(simulator, "draw_frame", work)
+        return work
 
     @pytest.mark.parametrize(
         "argv",
@@ -1247,12 +1275,18 @@ class TestBoundBeforeAnyWork:
             ["analytic", "--loads", "0.1,1"],
         ],
     )
-    def test_cli_refuses_up_front(self, argv, no_work, capsys):
+    def test_cli_refuses_up_front(self, argv, no_work, monkeypatch, capsys):
+        # analytic does not simulate, so its own fold bound refuses the load
+        if argv[0] == "analytic":
+            bound = MAX_FOLD_STEPS
+        else:
+            bound = MAX_FRAME_COPIES
+            monkeypatch.setattr(harness, "analytic_curve", no_work)
         code = main([*argv, "--tf", "10000000", "--tau", "10", "--rounds", "1"])
-        assert code == EXIT_RUNTIME
+        assert code == EXIT_USAGE
         err = capsys.readouterr().err
         assert err.startswith("divaloha: ") and err.count("\n") == 1
-        assert str(MAX_FRAME_COPIES) in err
+        assert str(bound) in err
 
     @pytest.mark.parametrize(
         "argv",
@@ -1272,7 +1306,7 @@ class TestBoundBeforeAnyWork:
         monkeypatch.setattr(analytic, "_fold", work)
         monkeypatch.setattr(simulator, "draw_frame", work)
         code = main([*argv, "--tf", "1000000", "--tau", "2", "--rounds", "1"])
-        assert code == EXIT_RUNTIME
+        assert code == EXIT_USAGE
         err = capsys.readouterr().err
         assert err.startswith("divaloha: ") and err.count("\n") == 1
         assert str(MAX_FOLD_STEPS) in err
