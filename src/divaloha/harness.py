@@ -30,13 +30,7 @@ from .analytic import analytic_curve
 from .config import SystemConfig
 from .errors import DivalohaError
 from .link import LinkModel
-from .simulator import (
-    RNG_ALGORITHM,
-    RNG_STREAM_RULE,
-    _require_frame_bound,
-    _require_rounds_bound,
-    sweep,
-)
+from .simulator import RNG_ALGORITHM, RNG_STREAM_RULE, require_work_bounds, sweep
 
 EXIT_OK = 0
 EXIT_COMPARE_FAILED = 1
@@ -144,32 +138,27 @@ class RunSpec:
         )
 
 
-def _parse_ts(text: str) -> float:
-    """Symbol time in microseconds; a 'us' suffix is allowed and redundant."""
-    raw = text[:-2] if text.endswith("us") else text
+def _number(value, flag: str, kind=float, minimum=None, given=None):
+    """``value`` (a flag's text or a config file's value) as ``kind``, int
+    or float, at least ``minimum`` if one is given. A value that is not one
+    is refused quoting ``given``, the text as the user gave it (default
+    ``value``)."""
     try:
-        value = float(raw)
-    except ValueError:
-        raise UsageError(f"cannot parse symbol time {text!r}") from None
-    if not 0 < value < math.inf:
-        raise UsageError(f"symbol time must be finite and > 0, got {text!r}")
-    return value
+        out = kind(value)
+    except (TypeError, ValueError, OverflowError):
+        shown = value if given is None else given
+        raise UsageError(f"cannot parse {flag} value {shown!r}") from None
+    if minimum is not None and out < minimum:
+        raise UsageError(f"{flag} must be >= {minimum}, got {out}")
+    return out
 
 
 def _duration_to_symbols(text: str, ts_us: float, flag: str) -> int:
     """A bare number is a symbol count; with a 'us' suffix it is a duration
     converted through the symbol time and must land on a whole symbol."""
+    value = _number(text.removesuffix("us"), flag, given=text)
     if text.endswith("us"):
-        try:
-            micros = float(text[:-2])
-        except ValueError:
-            raise UsageError(f"cannot parse {flag} duration {text!r}") from None
-        value = micros / ts_us
-    else:
-        try:
-            value = float(text)
-        except ValueError:
-            raise UsageError(f"cannot parse {flag} value {text!r}") from None
+        value /= ts_us
     if not math.isfinite(value):
         raise UsageError(f"{flag} must be finite, got {text!r}")
     rounded = round(value)
@@ -183,41 +172,29 @@ def _duration_to_symbols(text: str, ts_us: float, flag: str) -> int:
 def _parse_loads(value) -> tuple[float, ...]:
     """Comma list, single value, or start:stop:step grid (stop inclusive)."""
     if isinstance(value, (list, tuple)):
-        try:
-            items = [float(v) for v in value]
-        except (TypeError, ValueError):
-            raise UsageError(f"cannot parse loads {value!r}") from None
+        parts, grid = value, False
     else:
         text = str(value)
-        if ":" in text:
-            parts = text.split(":")
-            if len(parts) != 3:
-                raise UsageError(f"load grid must be start:stop:step, got {text!r}")
-            try:
-                start, stop, step = (float(p) for p in parts)
-            except ValueError:
-                raise UsageError(f"cannot parse load grid {text!r}") from None
-            if not all(math.isfinite(v) for v in (start, stop, step)):
-                raise UsageError(f"load grid {text!r} must be finite")
-            if step <= 0:
-                raise UsageError(f"load grid step must be > 0, got {step}")
-            # points less one, compared before any conversion to int: it
-            # may overflow to infinity, or ask for more loads than the bound
-            span = (stop - start) / step + 1e-9
-            if span < 0:
-                raise UsageError(f"load grid {text!r} is empty")
-            if span >= MAX_LOADS:
-                raise UsageError(
-                    f"load grid {text!r} has more than {MAX_LOADS} loads"
-                )
-            count = int(span) + 1
-            # round off the accumulated step error so 0.1:1.5:0.1 gives 0.3, not 0.30000000000000004
-            items = [round(start + i * step, 10) for i in range(count)]
-        else:
-            try:
-                items = [float(p) for p in text.split(",")]
-            except ValueError:
-                raise UsageError(f"cannot parse loads {value!r}") from None
+        grid = ":" in text
+        parts = text.split(":" if grid else ",")
+        if grid and len(parts) != 3:
+            raise UsageError(f"load grid must be start:stop:step, got {text!r}")
+    items = [_number(v, "--loads", given=value) for v in parts]
+    if grid:
+        start, stop, step = items
+        if not all(math.isfinite(v) for v in items):
+            raise UsageError(f"load grid {text!r} must be finite")
+        if step <= 0:
+            raise UsageError(f"load grid step must be > 0, got {step}")
+        # points less one, compared before any conversion to int: it
+        # may overflow to infinity, or ask for more loads than the bound
+        span = (stop - start) / step + 1e-9
+        if span < 0:
+            raise UsageError(f"load grid {text!r} is empty")
+        if span >= MAX_LOADS:
+            raise UsageError(f"load grid {text!r} has more than {MAX_LOADS} loads")
+        # round off the accumulated step error so 0.1:1.5:0.1 gives 0.3, not 0.30000000000000004
+        items = [round(start + i * step, 10) for i in range(int(span) + 1)]
     if not items:
         raise UsageError("loads must not be empty")
     if len(items) > MAX_LOADS:
@@ -228,23 +205,6 @@ def _parse_loads(value) -> tuple[float, ...]:
         if g < 0:
             raise UsageError(f"loads must be >= 0, got {g}")
     return tuple(items)
-
-
-def _parse_int(value, flag: str, minimum: int | None = None) -> int:
-    try:
-        out = int(value)
-    except (TypeError, ValueError):
-        raise UsageError(f"cannot parse {flag} value {value!r}") from None
-    if minimum is not None and out < minimum:
-        raise UsageError(f"{flag} must be >= {minimum}, got {out}")
-    return out
-
-
-def _parse_float(value, flag: str) -> float:
-    try:
-        return float(value)
-    except (TypeError, ValueError):
-        raise UsageError(f"cannot parse {flag} value {value!r}") from None
 
 
 @functools.cache
@@ -300,7 +260,11 @@ def parse_spec(argv) -> RunSpec:
         return _OPTIONS[dest][0]
 
     mode = ns.mode
-    ts_us = _parse_ts(str(pick("ts")))
+    # symbol time in microseconds; a 'us' suffix is allowed and redundant
+    ts_text = str(pick("ts"))
+    ts_us = _number(ts_text.removesuffix("us"), "--ts", given=ts_text)
+    if not 0 < ts_us < math.inf:
+        raise UsageError(f"symbol time must be finite and > 0, got {ts_text!r}")
 
     tau_raw = pick("tau")
     if tau_raw is None:
@@ -321,17 +285,17 @@ def parse_spec(argv) -> RunSpec:
         loads = _parse_loads(loads_raw)
 
     # geometry and link values are refused by SystemConfig and LinkModel
-    copies = _parse_int(pick("copies"), "--copies")
-    modulation_order = _parse_int(pick("mod"), "--mod")
-    code_rate = _parse_float(pick("rate"), "--rate")
-    snr_db = _parse_float(pick("snr_db"), "--snr-db")
+    copies = _number(pick("copies"), "--copies", int)
+    modulation_order = _number(pick("mod"), "--mod", int)
+    code_rate = _number(pick("rate"), "--rate")
+    snr_db = _number(pick("snr_db"), "--snr-db")
     snir_raw = pick("snir_dec_db")
-    snir_dec_db = None if snir_raw is None else _parse_float(snir_raw, "--snir-dec-db")
+    snir_dec_db = None if snir_raw is None else _number(snir_raw, "--snir-dec-db")
 
     # refused here, before compare's analytic fold runs
-    rounds = _parse_int(pick("rounds"), "--rounds", 1)
-    seed = _parse_int(pick("seed"), "--seed", 0)
-    workers = _parse_int(pick("workers"), "--workers", 1)
+    rounds = _number(pick("rounds"), "--rounds", int, 1)
+    seed = _number(pick("seed"), "--seed", int, 0)
+    workers = _number(pick("workers"), "--workers", int, 1)
 
     policy = pick("policy")
     if policy is not None and policy not in _POLICIES:
@@ -386,17 +350,18 @@ def row_passes(row: dict, policy: str) -> bool:
 
 def build_rows(spec: RunSpec) -> tuple[list[dict], str | None]:
     """Row dicts (CSV_COLUMNS keys, None where a column does not apply) and
-    the policy that was applied, if any."""
+    the policy that was applied, if any.
+
+    Refusal order: the argument checks (parse_spec's, then the geometry and
+    the link), then the pre-flight ``require_work_bounds`` for a simulating
+    mode, then work. The analytic fold refuses its own bound before its
+    first step, and the simulation follows it.
+    """
     config = spec.system_config()
     link = spec.link_model()
     rows = [dict.fromkeys(CSV_COLUMNS) for _ in spec.loads]
-
-    # refuse an over-bound load or frame count before any analytic or
-    # simulated work; analytic_curve checks its own fold bound
     if spec.mode in ("simulate", "compare"):
-        for g in spec.loads:
-            _require_frame_bound(config, g)
-        _require_rounds_bound(spec.rounds)
+        require_work_bounds(config, spec.loads, spec.rounds)
     if spec.mode in ("analytic", "compare"):
         for row, pt in zip(rows, analytic_curve(config, link, spec.loads)):
             row["G"] = pt.load

@@ -7,6 +7,7 @@ from __future__ import annotations
 
 import functools
 import math
+import operator
 import os
 from dataclasses import dataclass
 
@@ -115,6 +116,8 @@ class FrameStream:
         ):
             if n_tx < 0:
                 raise InvalidParameterError(f"n_tx must be >= 0, got {n_tx}")
+            # a Python int: a numpy index would wrap in _hi near 2**64
+            f = operator.index(f)
             # K of the stream rule; an empty frame's block is empty whatever K is
             k = max(1, BLOCK_COPIES // (n_tx * config.copies or 1))
             block = f // k
@@ -558,25 +561,25 @@ def _frames_lost(
     return lost
 
 
-def _require_frame_bound(config: SystemConfig, load: float) -> int:
-    """Packets per frame at ``load``; WorkBoundError if that frame holds more
-    than MAX_FRAME_COPIES copies."""
-    n_tx = n_tx_for_load(config, load)
-    if n_tx * config.copies > MAX_FRAME_COPIES:
-        raise WorkBoundError(
-            f"load {load} puts {n_tx} packets of {config.copies} copies in a "
-            f"frame, over the bound of {MAX_FRAME_COPIES} copies per frame"
-        )
-    return n_tx
-
-
-def _require_rounds_bound(rounds: int) -> None:
-    """WorkBoundError if ``rounds`` frames per load exceed MAX_ROUNDS."""
+def require_work_bounds(config: SystemConfig, loads, rounds: int) -> list[int]:
+    """Packets per frame at each of ``loads``, once the run is held to its
+    work bounds: WorkBoundError if ``rounds`` frames per load exceed
+    MAX_ROUNDS, or if a load puts more than MAX_FRAME_COPIES copies in a
+    frame. It computes n_tx and nothing more, so ``sweep``,
+    ``estimate_point`` and the command line call it before any work."""
     if rounds > MAX_ROUNDS:
         raise WorkBoundError(
             f"{rounds} rounds is over the bound of {MAX_ROUNDS} simulated "
             "frames per load"
         )
+    n_by_load = [n_tx_for_load(config, g) for g in loads]
+    for g, n_tx in zip(loads, n_by_load):
+        if n_tx * config.copies > MAX_FRAME_COPIES:
+            raise WorkBoundError(
+                f"load {g} puts {n_tx} packets of {config.copies} copies in a "
+                f"frame, over the bound of {MAX_FRAME_COPIES} copies per frame"
+            )
+    return n_by_load
 
 
 def estimate_point(
@@ -596,17 +599,18 @@ def estimate_point(
     frame f is always the same slice of the same RNG block (see
     RNG_STREAM_RULE), wherever the chunk bounds fall, and its starts do not
     depend on ``rounds`` either. The process pool never holds more
-    processes than chunks or CPUs. More than MAX_ROUNDS rounds, or a load
-    that puts more than MAX_FRAME_COPIES copies in a frame, raise
-    WorkBoundError before any frame is placed. PlacementImpossibleError
-    comes from the first frame drawn from the block that holds the dead end.
+    processes than chunks or CPUs.
+
+    Refusal order: the argument checks (``rounds`` and ``workers`` at least
+    1), then the pre-flight ``require_work_bounds`` for this load, then
+    work. PlacementImpossibleError comes from the first frame drawn from
+    the block that holds the dead end.
     """
     if rounds < 1:
         raise InvalidParameterError(f"rounds must be >= 1, got {rounds}")
-    _require_rounds_bound(rounds)
     if workers < 1:
         raise InvalidParameterError(f"workers must be >= 1, got {workers}")
-    n_tx = _require_frame_bound(config, load)
+    (n_tx,) = require_work_bounds(config, [load], rounds)
     if n_tx == 0:
         return SimResult(load, 0, rounds, 0.0, 0.0, 0.0, seed)
     budget = link.budget
@@ -650,10 +654,12 @@ def sweep(
 ) -> list[SimResult]:
     """estimate_point over a load grid, one derived seed per grid index.
 
-    Every load is held to the frame copy bound before the first frame.
+    Refusal order: the pre-flight ``require_work_bounds`` over the whole
+    grid, then each load through estimate_point, whose argument checks and
+    pre-flight come before its frames. So an over-bound load anywhere in
+    the grid is refused before the first frame.
     """
-    for g in loads:
-        _require_frame_bound(config, g)
+    require_work_bounds(config, loads, rounds)
     return [
         estimate_point(config, link, g, rounds, point_seed(seed, i), workers=workers)
         for i, g in enumerate(loads)

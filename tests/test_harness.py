@@ -678,3 +678,41 @@ class TestCliContract:
             assert out.getvalue() == ""
             lines = err.getvalue().splitlines()
             assert len(lines) == 1 and lines[0].startswith("divaloha: ")
+
+    # one malformed value for every input the number parser serves
+    @pytest.mark.parametrize(
+        "flag, value",
+        [
+            ("--ts", "1xus"), ("--tau", "abc"), ("--tf", "1e3xus"), ("--rate", "x"),
+            ("--snr-db", "x"), ("--snir-dec-db", "x"), ("--rounds", "1.5"),
+            ("--seed", "x"), ("--workers", "x"), ("--copies", "x"), ("--mod", "x"),
+            ("--loads", "0.1:x:0.1"), ("--loads", "0.1,x"),
+        ],
+    )
+    def test_malformed_number_is_refused_in_one_line(self, flag, value):
+        argv = ["compare", "--tf=1000", "--tau=5", "--loads=0.5", "--rounds=1"]
+        self.assert_refused([*argv, f"{flag}={value}"], f"{flag} value {value!r}")
+
+    @pytest.mark.parametrize(
+        "text, what",
+        [
+            ('{"loads": ["x"]}', "--loads value ['x']"),
+            ('{"loads": [0.5], "rounds": [1]}', "--rounds value [1]"),
+            # an int flag given an infinite JSON number
+            ('{"loads": [0.5], "rounds": 1e400}', "--rounds value inf"),
+        ],
+        ids=["loads-list", "rounds-list", "rounds-inf"],
+    )
+    def test_malformed_config_number_is_refused_in_one_line(self, text, what, tmp_path):
+        cfg = tmp_path / "run.json"
+        cfg.write_text(text)
+        self.assert_refused(["compare", "--tf=1000", "--tau=5", f"--config={cfg}"], what)
+
+    @staticmethod
+    def assert_refused(argv, what):
+        out, err = io.StringIO(), io.StringIO()
+        with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+            code = main(argv)
+        assert code == EXIT_USAGE
+        assert out.getvalue() == ""
+        assert err.getvalue() == f"divaloha: cannot parse {what}\n"

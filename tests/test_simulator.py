@@ -1,12 +1,15 @@
 """Simulator checks: placement validity, exact interference accounting
 against the all-pairs reference, decoding, and stream determinism."""
 
+import ast
 import hashlib
+import inspect
 import os
 import subprocess
 import sys
 import tracemalloc
 import types
+import warnings
 
 import numpy as np
 import pytest
@@ -158,6 +161,29 @@ class TestFrameRngRekey:
                 draw_frame(frame_rng(seed, f, stream), 20, config)
             with pytest.raises(InvalidParameterError, match="2\\*\\*64-1"):
                 draw_frame(frame_rng(seed, f), 20, config)
+
+    def test_numpy_frame_indices_place_like_python_ints(self, monkeypatch):
+        # frames 2**64 - 1, - 2 and - 3 share a block of K = 204; given as
+        # numpy uint64, the held block's range must not wrap at 2**64, or
+        # each frame would place the block again
+        config = SystemConfig(frame_len=3000, burst_len=100)
+        top = (1 << 64) - 1
+        indices = [top, top - 1, top - 2]
+        placed = []
+
+        def place_spy(rng, n, config, _real=simulator._place):
+            placed.append(n)
+            return _real(rng, n, config)
+
+        monkeypatch.setattr(simulator, "_place", place_spy)
+        want = frames(7, indices, 20, config)
+        assert len(placed) == 1
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            got = frames(np.uint64(7), [np.uint64(f) for f in indices], 20, config)
+        assert len(placed) == 2
+        for a, b in zip(got, want):
+            assert np.array_equal(a, b)
 
     def test_seed_outside_64_bits_is_refused_by_estimate_and_sweep(self):
         config = SystemConfig(frame_len=3000, burst_len=100)
@@ -1346,6 +1372,75 @@ class TestBoundBeforeAnyWork:
         assert main(argv) == EXIT_USAGE
         err = capsys.readouterr().err
         assert err.startswith("divaloha: ") and "2 copies" in err
+
+
+class TestOnePreFlight:
+    """sweep, estimate_point and build_rows (simulate and compare) refuse an
+    over-bound run through the one pre-flight, require_work_bounds, before
+    any placement or fold step."""
+
+    # 10**6 two-copy packets at load 1: 2 * 10**6 copies, past the bound
+    HUGE = SystemConfig(frame_len=10_000_000, burst_len=10)
+    PLAIN = SystemConfig(frame_len=20000, burst_len=1000)
+    CASES = {
+        "load": (HUGE, [0.1, 1.0], 1),
+        "rounds": (PLAIN, [0.5], MAX_ROUNDS + 1),
+    }
+
+    @pytest.fixture
+    def preflights(self, monkeypatch):
+        calls = []
+
+        def work(*args, **kwargs):
+            raise AssertionError("work started before the pre-flight")
+
+        def spy(config, loads, rounds, _real=simulator.require_work_bounds):
+            calls.append((list(loads), rounds))
+            try:
+                return _real(config, loads, rounds)
+            except WorkBoundError as exc:
+                calls.append(exc)
+                raise
+
+        monkeypatch.setattr(simulator, "require_work_bounds", spy)
+        monkeypatch.setattr(harness, "require_work_bounds", spy)
+        monkeypatch.setattr(simulator, "_place", work)
+        monkeypatch.setattr(analytic, "_fold", work)
+        return calls
+
+    @pytest.mark.parametrize("bound", sorted(CASES))
+    @pytest.mark.parametrize(
+        "caller", ["sweep", "estimate_point", "simulate", "compare"]
+    )
+    def test_every_caller_refuses_through_it(self, caller, bound, preflights):
+        config, grid, rounds = self.CASES[bound]
+        if caller == "estimate_point":
+            grid = grid[-1:]
+        with pytest.raises(WorkBoundError) as refused:
+            if caller == "sweep":
+                sweep(config, LINK_10DB, grid, rounds, seed=1)
+            elif caller == "estimate_point":
+                estimate_point(config, LINK_10DB, grid[0], rounds, seed=1)
+            else:
+                spec = harness.parse_spec(
+                    [caller, "--tf", str(config.frame_len),
+                     "--tau", str(config.burst_len),
+                     "--loads", ",".join(map(str, grid)), "--rounds", str(rounds)]
+                )
+                harness.build_rows(spec)
+        # one call, over the whole grid, and it raised what the caller did
+        assert preflights == [(grid, rounds), refused.value]
+
+    def test_harness_imports_no_private_simulator_name(self):
+        tree = ast.parse(inspect.getsource(harness))
+        names = [
+            alias.name
+            for node in ast.walk(tree)
+            if isinstance(node, ast.ImportFrom) and node.module == "simulator"
+            for alias in node.names
+        ]
+        assert "require_work_bounds" in names
+        assert [name for name in names if name.startswith("_")] == []
 
 
 def test_import_leaves_process_pool_out():
