@@ -142,8 +142,13 @@ def _number(value, flag: str, kind=float, minimum=None, given=None):
     """``value`` (a flag's text or a config file's value) as ``kind``, int
     or float, at least ``minimum`` if one is given. A value that is not one
     is refused quoting ``given``, the text as the user gave it (default
-    ``value``)."""
+    ``value``). So is a config file's JSON boolean, and a float that is not
+    whole for an int, which ``kind`` would take but the same text as a flag
+    would not be; a whole float such as ``1e4`` is the int it equals."""
+    fraction = kind is int and isinstance(value, float) and not value.is_integer()
     try:
+        if isinstance(value, bool) or fraction:
+            raise ValueError(value)
         out = kind(value)
     except (TypeError, ValueError, OverflowError):
         shown = value if given is None else given

@@ -45,20 +45,22 @@ RNG_STREAM_RULE = (
     "that clear the packet's earlier copies"
 )
 
-# Work bound: estimate_point refuses a frame of more copies (n_tx * copies)
-# than this before it places any. The paper's largest frames hold about 1200
-# copies; a frame at the bound keeps some 100 MiB of per-frame arrays. A
-# block holds at most max(BLOCK_COPIES, n_tx * copies) copies, so the bound
-# holds for the block too.
+# Work bound: require_work_bounds refuses a frame of more copies
+# (n_tx * copies) than this, for sweep, estimate_point and the command line,
+# before any is placed. The paper's largest frames hold about 1200 copies; a
+# frame at the bound keeps some 100 MiB of per-frame arrays. A block holds at
+# most max(BLOCK_COPIES, n_tx * copies) copies, so the bound holds for the
+# block too.
 MAX_FRAME_COPIES = 1 << 20
 
-# Work bound: estimate_point refuses more simulated frames per load than
-# this before it allocates or places anything. It counts frames, not
-# copies: the cheapest frame (a few packets at 20000/1000) costs 7-9 us on
-# a 2-core x86 host, so a load at the bound takes at least 8 s and keeps an
-# 8 MiB array of per-frame losses, and the paper's largest frames (600
-# packets at 200000/500, some 150 us) take about 3 min. It still allows the
-# million frames that a tight error bar at low loss needs.
+# Work bound: require_work_bounds refuses more simulated frames per load
+# than this, for sweep, estimate_point and the command line, before anything
+# is allocated or placed. It counts frames, not copies: the cheapest frame (a
+# few packets at 20000/1000) costs 7-9 us on a 2-core x86 host, so a load at
+# the bound takes at least 8 s and keeps an 8 MiB array of per-frame losses,
+# and the paper's largest frames (600 packets at 200000/500, some 150 us)
+# take about 3 min. It still allows the million frames that a tight error
+# bar at low loss needs.
 MAX_ROUNDS = 1 << 20
 
 _MASK64 = (1 << 64) - 1
@@ -67,53 +69,53 @@ _MASK64 = (1 << 64) - 1
 class FrameStream:
     """Where one frame's starts come from: frame ``frame_index`` of point
     seed ``seed``. Reusable: ``frame_rng`` moves it to another frame, and it
-    keeps the last block it placed, so the frames of one block cost one
-    placement between them.
+    keeps the last block it placed and swept, so the frames of one block
+    cost one placement and one sweep between them.
 
     ``rng`` is the Philox-backed Generator it re-keys for each block; a new
-    one by default. ``block`` and ``row`` are the block of the frame last
-    asked of it and that frame's row in the block.
+    one by default. ``overlap`` is the overlap on every copy of the frame
+    last asked of it, swept under the config it was placed under.
 
-    The block held is frames ``[lo, hi)`` of one seed, placed for one n_tx
-    under one config. A frame asked in that range, of that seed and n_tx,
-    under the same config (the same object, or an equal one) is a hit: its
-    starts are row ``frame_index - lo`` of the block, with no K or block
-    index computed. Anything else places the block that holds the frame.
+    The block held is frames ``[lo, hi)`` of one seed, placed and swept for
+    one n_tx under one config. A frame asked in that range under the same
+    ``(seed, n_tx, config)`` (a tuple compare, which tries identity before
+    equality) is a hit: its starts and overlap are row ``frame_index - lo``
+    of the block's, with no K or block index computed. Anything else places
+    and sweeps the block that holds the frame.
     """
 
     __slots__ = (
-        "seed", "frame_index", "_rng", "_seed", "_n_tx", "_config", "_lo",
-        "_hi", "block", "row",
+        "seed", "frame_index", "overlap", "_rng", "_key", "_lo", "_hi",
+        "_starts", "_overlap",
     )
 
     def __init__(self, rng: np.random.Generator | None = None) -> None:
         self.seed = 0
         self.frame_index = 0
+        self.overlap = None
         self._rng = np.random.Generator(np.random.Philox()) if rng is None else rng
-        # the block held: frames _lo.._hi-1 of _seed, n_tx _n_tx, _config
-        self._seed = self._n_tx = self._config = None
+        # the block held: frames _lo.._hi-1 under _key = (seed, n_tx, config),
+        # its starts and overlap as read-only (K, n_tx, copies) rows
+        self._key = None
         self._lo = self._hi = 0
-        self.block = None
-        self.row = None
+        self._starts = self._overlap = None
 
     def starts(self, n_tx: int, config: SystemConfig) -> np.ndarray:
-        """Read-only (n_tx, copies) starts of this stream's frame.
+        """Read-only (n_tx, copies) starts of this stream's frame; its
+        overlap is left in ``overlap``.
 
         The first frame asked of a block places the whole block, one
-        ``integers`` call per copy; later frames of the same block are
-        views of its rows. A block that holds a dead end raises
-        PlacementImpossibleError at the first frame asked of it, and the
+        ``integers`` call per copy, and sweeps it (see
+        per_copy_interference); later frames of the same block are views of
+        its rows. A block that holds a dead end raises
+        PlacementImpossibleError, and one that a sort key cannot hold
+        raises ConfigError, at the first frame asked of it; either way the
         stream keeps the block it held before. A seed or block index
         outside 0..2**64-1 raises InvalidParameterError.
         """
         f = self.frame_index
-        placed = self._config
-        if not (
-            self._lo <= f < self._hi
-            and self.seed == self._seed
-            and n_tx == self._n_tx
-            and (config is placed or config == placed)
-        ):
+        key = (self.seed, n_tx, config)
+        if not (self._lo <= f < self._hi and key == self._key):
             if n_tx < 0:
                 raise InvalidParameterError(f"n_tx must be >= 0, got {n_tx}")
             # a Python int: a numpy index would wrap in _hi near 2**64
@@ -131,43 +133,18 @@ class FrameStream:
                     f"frame {f} is in block {block}, outside 0..2**64-1"
                 )
             _rekey(self._rng, self.seed, block)
-            self.block = _Block(_place(self._rng, k * n_tx, config), k, config)
-            self._seed, self._n_tx, self._config = self.seed, n_tx, config
+            starts = _place(self._rng, k * n_tx, config)
+            overlap = _sweep(starts, k, config)
+            starts.flags.writeable = False
+            overlap.flags.writeable = False
+            rows = (k, n_tx, config.copies)
+            self._starts, self._overlap = starts.reshape(rows), overlap.reshape(rows)
+            self._key = key
             self._lo = block * k
             self._hi = self._lo + k
         row = f - self._lo
-        self.row = row
-        return self.block.rows[row]
-
-
-class _Block:
-    """One placed RNG block: the read-only starts of ``frames`` frames of
-    equal size, stacked by row, the ``config`` they were placed under, and
-    the overlap on every copy in them, swept once when a frame first asks
-    for it (see per_copy_interference). It lives as long as the stream or a
-    frame refers to it.
-
-    ``rows`` is a (frames, n_tx, copies) view of ``starts``, so frame r's
-    starts are ``rows[r]``; ``interference()`` has the same shape.
-    """
-
-    __slots__ = ("starts", "rows", "frames", "config", "_interference")
-
-    def __init__(self, starts: np.ndarray, frames: int, config: SystemConfig) -> None:
-        starts.flags.writeable = False
-        self.starts = starts
-        self.rows = starts.reshape(frames, starts.shape[0] // frames, starts.shape[1])
-        self.frames = frames
-        self.config = config
-        self._interference = None
-
-    def interference(self) -> np.ndarray:
-        """Read-only overlap on every copy of the block, shaped as ``rows``."""
-        if self._interference is None:
-            inter = _sweep(self.starts, self.frames, self.config)
-            inter.flags.writeable = False
-            self._interference = inter.reshape(self.rows.shape)
-        return self._interference
+        self.overlap = self._overlap[row]
+        return self._starts[row]
 
 
 def _rekey(rng: np.random.Generator, seed: int, block: int) -> None:
@@ -204,8 +181,8 @@ def frame_rng(
 
     Given a ``stream`` (typically the one an earlier call returned), it is
     moved to the new frame and returned; no key is set here. The stream
-    re-keys, and places a new block, only when ``draw_frame`` asks it for a
-    frame outside the block it holds.
+    re-keys, and places and sweeps a new block, only when ``draw_frame``
+    asks it for a frame outside the block it holds.
     """
     if stream is None:
         stream = FrameStream()
@@ -226,8 +203,8 @@ def point_seed(master_seed: int, point_index: int) -> int:
 class Frame:
     """Start symbol of every transmitted copy, one row per packet.
 
-    A drawn frame also refers to the block it was placed in and its row
-    there: its starts are ``block.rows[row]``. A hand-built
+    A drawn frame also carries its ``overlap``, swept with the rest of its
+    block, and the ``config`` it was swept under. A hand-built
     ``Frame(starts)`` has neither.
 
     A plain class with slots rather than a frozen dataclass, because a
@@ -235,17 +212,17 @@ class Frame:
     them as read-only. Frames compare by identity.
     """
 
-    __slots__ = ("starts", "block", "row")
+    __slots__ = ("starts", "overlap", "config")
 
     def __init__(
         self,
         starts: np.ndarray,  # (n_packets, copies) int64
-        block: _Block | None = None,
-        row: int | None = None,
+        overlap: np.ndarray | None = None,  # the same shape, swept under config
+        config: SystemConfig | None = None,
     ) -> None:
         self.starts = starts
-        self.block = block
-        self.row = row
+        self.overlap = overlap
+        self.config = config
 
     @property
     def n_packets(self) -> int:
@@ -261,18 +238,20 @@ def draw_frame(stream: FrameStream, n_tx: int, config: SystemConfig) -> Frame:
     from ``stream`` (see ``frame_rng``): the frame's rows of its block.
 
     Every copy is uniform over the starts left admissible by the packet's
-    earlier copies, frame edges included (see ``_place``). The starts are a
-    read-only view of the block, and the frame keeps the block and its row
-    in it. A block that holds a dead end raises PlacementImpossibleError at
-    the first frame drawn from it.
+    earlier copies, frame edges included (see ``_place``). Drawing the first
+    frame of a block places and sweeps the whole block, so the frame comes
+    with read-only views of its starts and its overlap under ``config``. A
+    block that holds a dead end raises PlacementImpossibleError, and one too
+    long for a sort key raises ConfigError, at the first frame drawn from
+    it.
 
     ``stream`` is duck-typed: this calls ``stream.starts(n_tx, config)``
-    once and then reads ``stream.block`` and ``stream.row`` from the object
-    it was given, so a forwarding proxy of a FrameStream (one that counts
-    the values its method calls return, say) draws the same frame.
+    once and then reads ``stream.overlap`` from the object it was given, so
+    a forwarding proxy of a FrameStream (one that counts the values its
+    method calls return, say) draws the same frame.
     """
     starts = stream.starts(n_tx, config)
-    return Frame(starts, stream.block, stream.row)
+    return Frame(starts, stream.overlap, config)
 
 
 def _place(rng: np.random.Generator, n_tx: int, config: SystemConfig) -> np.ndarray:
@@ -338,14 +317,12 @@ def per_copy_interference(frame: Frame, config: SystemConfig) -> np.ndarray:
     reused FrameStream (see frame_rng).
 
     One algorithm, a sorted sweep with prefix sums over B copies, O(B log
-    B), run once per block. The first call on any frame of a block (asked
-    under the config the block was placed under) sweeps all K frames of it
-    at once, and every frame of the block then returns a view of its rows.
-    A hand-built frame, or one asked under another config, is swept alone,
-    as a block of K = 1. The config check tries identity before equality,
-    and a drawn frame's overlap is row ``frame.row`` of the block's
-    (K, n_packets, copies) overlap. Either way a frame gets the same
-    integers:
+    B), run once per block. Drawing the first frame of a block sweeps all K
+    frames of it at once (see FrameStream.starts), and every drawn frame
+    carries a view of its rows, which this returns when asked under the
+    config the frame was swept under (identity tried before equality). A
+    hand-built frame, or one asked under another config, is swept here
+    alone, as a block of K = 1. Either way a frame gets the same integers:
 
     Frame r of the block is first shifted by ``r * (frame_len + tau)``. A
     frame's starts lie in ``0 .. frame_len - tau``, so the nearest starts of
@@ -381,11 +358,9 @@ def per_copy_interference(frame: Frame, config: SystemConfig) -> np.ndarray:
     ConfigError (see _sweep); no block of the stream rule with
     ``frame_len + tau <= 2**37`` does.
     """
-    block = frame.block
-    if block is not None:
-        placed = block.config
-        if placed is config or placed == config:
-            return block.interference()[frame.row]
+    swept = frame.config
+    if frame.overlap is not None and (swept is config or swept == config):
+        return frame.overlap
     out = _sweep(frame.starts, 1, config)
     out.flags.writeable = False
     return out
@@ -538,17 +513,17 @@ def _frames_lost(
 ) -> np.ndarray:
     """Packets lost in each of frames frame_lo..frame_hi-1.
 
-    One FrameStream serves the chunk, so a block of frames is placed once
-    and each frame is its row, byte for byte the frame a fresh
-    ``frame_rng(seed, f)`` gives. Each stage is still called once per frame,
-    and both the draw and the overlap amortize their work over the block:
-    the first frame of a block places it, the first sweep of it sweeps all
-    its frames, and the other frames get views of both. A warm frame, one
-    whose block is placed and swept, costs a range test in the stream, a
-    row view of the starts and of the overlap, and the decode's few numpy
-    calls. A chunk that starts or ends inside a block places and sweeps
-    that whole block. Module-level, so a process pool can pickle a partial
-    of it; the per-frame functions are looked up at call time.
+    One FrameStream serves the chunk, so a block of frames is placed and
+    swept once and each frame is its row, byte for byte the frame a fresh
+    ``frame_rng(seed, f)`` gives. Each stage is still called once per frame:
+    the draw of a block's first frame places and sweeps the block, every
+    draw hands out row views of its starts and overlap, and the overlap
+    call returns the view it carries. A warm frame, one whose block the
+    stream holds, costs a range test and a key compare in the stream, the
+    two row views, and the decode's few numpy calls. A chunk that starts or
+    ends inside a block places and sweeps that whole block. Module-level,
+    so a process pool can pickle a partial of it; the per-frame functions
+    are looked up at call time.
     """
     lost = np.empty(frame_hi - frame_lo, dtype=np.int64)
     copies = config.copies

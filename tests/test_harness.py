@@ -700,13 +700,39 @@ class TestCliContract:
             ('{"loads": [0.5], "rounds": [1]}', "--rounds value [1]"),
             # an int flag given an infinite JSON number
             ('{"loads": [0.5], "rounds": 1e400}', "--rounds value inf"),
+            # int flags given JSON numbers that are not whole, as
+            # --rounds 2.9 is refused on the command line
+            ('{"loads": [0.5], "rounds": 2.9}', "--rounds value 2.9"),
+            ('{"loads": [0.5], "seed": 1.5}', "--seed value 1.5"),
+            ('{"loads": [0.5], "workers": 1.5}', "--workers value 1.5"),
+            # JSON booleans, which int() and float() would read as 1 and 0
+            ('{"loads": [0.5], "copies": true}', "--copies value True"),
+            ('{"loads": [0.5], "rounds": true}', "--rounds value True"),
+            ('{"loads": [0.5], "mod": false}', "--mod value False"),
+            ('{"loads": [0.5], "rate": true}', "--rate value True"),
+            ('{"loads": [0.5], "snr_db": false}', "--snr-db value False"),
+            ('{"loads": [0.5], "snir_dec_db": true}', "--snir-dec-db value True"),
+            ('{"loads": [true]}', "--loads value [True]"),
+            ('{"loads": [0.5], "ts": true}', "--ts value 'True'"),
         ],
-        ids=["loads-list", "rounds-list", "rounds-inf"],
+        ids=[
+            "loads-list", "rounds-list", "rounds-inf", "rounds-fraction",
+            "seed-fraction", "workers-fraction", "copies-bool", "rounds-bool",
+            "mod-bool", "rate-bool", "snr-bool", "snir-bool", "loads-bool",
+            "ts-bool",
+        ],
     )
     def test_malformed_config_number_is_refused_in_one_line(self, text, what, tmp_path):
         cfg = tmp_path / "run.json"
         cfg.write_text(text)
         self.assert_refused(["compare", "--tf=1000", "--tau=5", f"--config={cfg}"], what)
+
+    def test_whole_config_float_is_the_int_it_equals(self, tmp_path):
+        cfg = tmp_path / "run.json"
+        cfg.write_text('{"loads": [0.5], "rounds": 1e4, "seed": 7.0}')
+        spec = parse_spec(["compare", "--tf=1000", "--tau=5", f"--config={cfg}"])
+        assert (spec.rounds, spec.seed) == (10000, 7)
+        assert type(spec.rounds) is int and type(spec.seed) is int
 
     @staticmethod
     def assert_refused(argv, what):

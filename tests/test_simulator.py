@@ -232,7 +232,8 @@ class TestFrameRngRekey:
 class TestStreamHits:
     """A reused FrameStream serves a frame from the block it holds when the
     frame lies in that block's range and the seed, n_tx and config value
-    are the ones it was placed for; anything else places a new block."""
+    are the ones it was placed for; anything else places and sweeps a new
+    block, which replaces the held one only once both succeed."""
 
     def test_places_once_per_distinct_block(self, monkeypatch):
         config = SystemConfig(frame_len=20000, burst_len=1000)
@@ -272,7 +273,7 @@ class TestStreamHits:
             frame = draw_frame(stream, n_tx, asked)
             assert np.array_equal(frame.starts, starts)
             got = per_copy_interference(frame, asked)
-            assert np.array_equal(got, frame.block.interference()[frame.row])
+            assert got is frame.overlap
             assert np.array_equal(got, per_copy_interference_brute(frame, asked))
         # (seed, block, copies placed, config): one placement each
         assert placed == [
@@ -291,6 +292,40 @@ class TestStreamHits:
             ((k16 * 16, 2), k16, config),
             ((k16 * 16, 2), k16, other),
         ]
+
+    @pytest.mark.parametrize("failure", [PlacementImpossibleError, ConfigError])
+    def test_failed_block_leaves_the_held_block(self, failure, monkeypatch):
+        # a block that cannot be placed (a first copy leaves its second no
+        # room) or swept (too long for a sort key) is not kept: a frame of
+        # the block held before it is still a hit, with the same arrays
+        config = SystemConfig(frame_len=25, burst_len=10)
+        n = block_size(3, 2) * 3
+        # first copies at 0 block starts 0..9 of 16, so the second has room
+        rng = ScriptedRng(np.zeros(n), np.arange(n) % 6)
+        stream = simulator.FrameStream(rng)
+        held = draw_frame(frame_rng(5, 1, stream), 3, config)
+        assert np.array_equal(held.overlap, per_copy_interference_brute(held, config))
+        placed = []
+
+        def place_spy(rng, n, config, _real=simulator._place):
+            placed.append(n)
+            return _real(rng, n, config)
+
+        monkeypatch.setattr(simulator, "_place", place_spy)
+        if failure is PlacementImpossibleError:
+            rng.outputs.append(np.full(n, 7))  # blocks all 16 starts
+            f, asked = block_size(3, 2), config  # the next block
+        else:
+            rng.outputs += [np.zeros(n), np.zeros(n)]
+            tau = 10**15
+            f, asked = 1, SystemConfig(frame_len=1000 * tau, burst_len=tau)
+        with pytest.raises(failure):
+            draw_frame(frame_rng(5, f, stream), 3, asked)
+        assert len(placed) == 1
+        again = draw_frame(frame_rng(5, 1, stream), 3, config)
+        assert len(placed) == 1
+        assert np.array_equal(again.starts, held.starts)
+        assert np.array_equal(again.overlap, held.overlap)
 
 
 class CountingProxy:
@@ -679,27 +714,35 @@ HALF_BLOCK = BLOCK_COPIES // 2
 
 
 class TestBlockOverlap:
-    """The first frame of a block asked for its overlap sweeps the whole
-    block, offset frame by frame; every frame gets a read-only view."""
+    """Drawing the first frame of a block sweeps the whole block, offset
+    frame by frame; every frame carries a read-only view of its rows."""
 
     @pytest.mark.parametrize("copies", [1, 2, 3])
     @pytest.mark.parametrize("side", ["small", "half_block", "over_half_block"])
-    def test_every_frame_of_several_blocks_matches_brute(self, copies, side):
+    def test_every_frame_of_several_blocks_matches_brute(self, copies, side, monkeypatch):
         n_tx = {"small": 7, "half_block": HALF_BLOCK // copies,
                 "over_half_block": HALF_BLOCK // copies + 1}[side]
         k = block_size(n_tx, copies)
         assert (k >= 2) == (side != "over_half_block")
         config = SystemConfig(frame_len=200000, burst_len=50, copies=copies)
         brute = per_copy_interference_brute if side == "small" else brute_in_chunks
+        swept = []
+
+        def spy(starts, frames, config, _real=simulator._sweep):
+            swept.append((starts.shape, frames))
+            return _real(starts, frames, config)
+
+        monkeypatch.setattr(simulator, "_sweep", spy)
         stream = None
         # two whole blocks and the first frame of a third
         for f in range(2 * k + 1):
             stream = frame_rng(30 + copies, f, stream)
             frame = draw_frame(stream, n_tx, config)
-            assert frame.block.frames == k and frame.row == f % k
-            assert np.array_equal(
-                per_copy_interference(frame, config), brute(frame, config)
-            )
+            got = per_copy_interference(frame, config)
+            assert got is frame.overlap
+            assert np.array_equal(got, brute(frame, config))
+        # each frame was its row of a block of K frames, swept once
+        assert swept == [((k * n_tx, copies), k)] * 3
 
     def test_hand_placed_neighbour_frames_do_not_overlap(self):
         # frame r ends a copy at the last start, frame r + 1 begins one at 0,
@@ -708,13 +751,12 @@ class TestBlockOverlap:
         config = SystemConfig(frame_len=30, burst_len=4, copies=1)
         last = config.start_positions - 1
         rows = [[last], [0], [0], [last], [last], [last - 2], [0], [last]]
-        block = simulator._Block(np.array(rows, dtype=np.int64), 4, config)
+        starts = np.array(rows, dtype=np.int64)
+        overlap = simulator._sweep(starts, 4, config)
         for r in range(4):
-            alone = Frame(block.starts[2 * r : 2 * r + 2])
-            frame = Frame(alone.starts, block, r)
-            want = per_copy_interference_brute(alone, config)
-            assert np.array_equal(per_copy_interference(frame, config), want)
-        assert block.interference().ravel().tolist() == [0, 0, 0, 0, 2, 2, 0, 0]
+            want = per_copy_interference_brute(Frame(starts[2 * r : 2 * r + 2]), config)
+            assert np.array_equal(overlap[2 * r : 2 * r + 2], want)
+        assert overlap.ravel().tolist() == [0, 0, 0, 0, 2, 2, 0, 0]
 
     def test_rows_are_read_only(self):
         config = SystemConfig(frame_len=3000, burst_len=100)
@@ -741,9 +783,19 @@ class TestBlockOverlap:
         asked = SystemConfig(frame_len=3000, burst_len=60)
         frame = draw_frame(frame_rng(4, 5), 10, placed)
         got = per_copy_interference(frame, asked)
-        assert swept == [((10, 2), 1, asked)]
+        # the draw swept its block under the config it was placed for; the
+        # frame asked under another is swept alone
+        k = block_size(10, 2)
+        assert swept == [((k * 10, 2), k, placed), ((10, 2), 1, asked)]
         assert np.array_equal(got, per_copy_interference_brute(frame, asked))
         assert np.array_equal(got, per_copy_interference(Frame(frame.starts), asked))
+
+    def test_frame_built_with_a_config_but_no_overlap_is_swept_alone(self):
+        config = SystemConfig(frame_len=3000, burst_len=100)
+        drawn = draw_frame(frame_rng(4, 5), 10, config)
+        frame = Frame(drawn.starts, config=config)
+        got = per_copy_interference(frame, config)
+        assert np.array_equal(got, per_copy_interference_brute(frame, config))
 
     def test_frames_lost_sweeps_each_block_once(self, monkeypatch):
         # 30 two-copy packets: blocks of 136 frames, and the chunk starts
@@ -773,15 +825,14 @@ class TestBlockOverlap:
 
     def test_frames_too_long_to_offset_are_refused(self):
         # K frames offset by frame_len + tau would pass int64, let alone a
-        # packed key: the block's sweep is refused, while one such frame,
-        # hand-built, is swept alone and gets its exact overlap
+        # packed key: the draw's block sweep is refused, while one such
+        # frame, hand-built, is swept alone and gets its exact overlap
         tau = 10**15
         config = SystemConfig(frame_len=1000 * tau, burst_len=tau, copies=2)
         k = block_size(3, 2)
         assert k * (config.frame_len + tau) > np.iinfo(np.int64).max
-        frame = draw_frame(frame_rng(6, 0), 3, config)
         with pytest.raises(ConfigError, match=f"cannot sweep {k} frames"):
-            per_copy_interference(frame, config)
+            draw_frame(frame_rng(6, 0), 3, config)
         last = config.start_positions - 1
         alone = Frame(
             np.array(
@@ -866,15 +917,14 @@ def test_sweep_on_shared_starts_matches_brute_and_follows_row_order(case):
     assert np.array_equal(permuted, got[perm])
 
 
-def sweep_block_by_frame(block, n_tx, config):
-    """Each frame of a hand-built block through per_copy_interference (the
-    block sweep) and through the brute-force reference, frame by frame."""
-    for r in range(block.frames):
-        rows = block.starts[r * n_tx : (r + 1) * n_tx]
-        yield (
-            per_copy_interference(Frame(rows, block, r), config),
-            per_copy_interference_brute(Frame(rows), config),
-        )
+def sweep_block_by_frame(starts, frames, config):
+    """Each frame of a hand-built block of ``frames`` frames: its rows of
+    the block sweep and the brute-force reference, frame by frame."""
+    overlap = simulator._sweep(starts, frames, config)
+    n_tx = starts.shape[0] // frames
+    for r in range(frames):
+        rows = slice(r * n_tx, (r + 1) * n_tx)
+        yield overlap[rows], per_copy_interference_brute(Frame(starts[rows]), config)
 
 
 class TestSweepKernel:
@@ -901,13 +951,13 @@ class TestSweepKernel:
         # the same rows in every frame, so starts tie across frames; the two
         # copies at the frame's end overlap by tau - 1
         rows = [[last, last - 2 * tau], [last - 1, 0]] * frames
-        block = simulator._Block(np.array(rows, dtype=np.int64), frames, config)
+        starts = np.array(rows, dtype=np.int64)
         assert (frames - 1) * (frame_len + tau) + last == top
         if past:
             with pytest.raises(ConfigError, match=f"below 2\\*\\*{63 - bits},"):
-                block.interference()
+                simulator._sweep(starts, frames, config)
             return
-        for got, want in sweep_block_by_frame(block, n_tx, config):
+        for got, want in sweep_block_by_frame(starts, frames, config):
             assert np.array_equal(got, want)
             assert got.tolist() == [[tau - 1, 0], [tau - 1, 0]]
 
@@ -919,8 +969,7 @@ class TestSweepKernel:
         base = [[0, 10], [0, 20], [3, 10], [35, 0], [35, 17], [3, 30]]
         frames = [base, base[::-1], base, base[2:] + base[:2]]
         starts = np.array([row for f in frames for row in f], dtype=np.int64)
-        block = simulator._Block(starts, len(frames), config)
-        for got, want in sweep_block_by_frame(block, len(base), config):
+        for got, want in sweep_block_by_frame(starts, len(frames), config):
             assert np.array_equal(got, want)
 
     @settings(deadline=None, max_examples=25)
@@ -928,8 +977,7 @@ class TestSweepKernel:
     def test_block_of_shared_start_frames_matches_brute(self, case):
         config, frame, perm = case
         starts = np.concatenate([frame.starts, frame.starts[perm], frame.starts])
-        block = simulator._Block(starts, 3, config)
-        for got, want in sweep_block_by_frame(block, frame.n_packets, config):
+        for got, want in sweep_block_by_frame(starts, 3, config):
             assert np.array_equal(got, want)
 
     @pytest.mark.parametrize("past", [0, 1], ids=["at_bound", "one_past"])
@@ -945,34 +993,31 @@ class TestSweepKernel:
         assert k == BLOCK_COPIES
         last = config.start_positions - 1
         starts = np.tile(np.array([[0], [last]], dtype=np.int64), (k // 2, 1))
-        block = simulator._Block(starts, k, config)
         if past:
             tracemalloc.start()
             try:
                 with pytest.raises(ConfigError, match="2\\*\\*37 always fits"):
-                    block.interference()
+                    simulator._sweep(starts, k, config)
                 peak = tracemalloc.get_traced_memory()[1]
             finally:
                 tracemalloc.stop()
             assert peak < 8 * k
             return
-        assert not block.interference().any()
-        for r in (0, 1, k - 1):
-            frame = Frame(block.starts[r : r + 1], block, r)
-            assert per_copy_interference(frame, config).tolist() == [[0]]
+        assert not simulator._sweep(starts, k, config).any()
 
     def test_peak_temporary_memory(self):
         # numpy reports its array buffers to tracemalloc. The sweep holds
         # eight arrays of B integers at its peak, the returned one included;
         # a ninth (one more temporary) breaks the bound of 8.5
         config = SystemConfig(frame_len=20000, burst_len=1000)
-        block = draw_frame(frame_rng(3, 0), 16, config).block
-        size = block.starts.size
+        k = block_size(16, 2)
+        starts = reference_block(3, 0, 16, config)
+        size = starts.size
         assert size == BLOCK_COPIES
-        simulator._sweep(block.starts, block.frames, config)
+        simulator._sweep(starts, k, config)
         tracemalloc.start()
         try:
-            simulator._sweep(block.starts, block.frames, config)
+            simulator._sweep(starts, k, config)
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
