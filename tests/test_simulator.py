@@ -65,6 +65,34 @@ def block_size(n_tx, copies):
     return max(1, BLOCK_COPIES // (n_tx * copies))
 
 
+@pytest.fixture
+def serial_pool(monkeypatch):
+    """Stands in for estimate_point's process pool: records each pool's size
+    and its chunks' frame bounds and maps serially, so no process is ever
+    started."""
+    import concurrent.futures
+
+    record = types.SimpleNamespace(sizes=[], chunks=[])
+
+    class SerialPool:
+        def __init__(self, max_workers):
+            record.sizes.append(max_workers)
+
+        def __enter__(self):
+            return self
+
+        def __exit__(self, *exc):
+            return False
+
+        def map(self, fn, *iterables):
+            lo, hi = map(list, iterables)
+            record.chunks.extend(zip(lo, hi))
+            return map(fn, lo, hi)
+
+    monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", SerialPool)
+    return record
+
+
 def reference_block(seed, block, n_tx, config):
     """Block ``block`` of ``seed`` by the v3 rule, keyed independently of
     frame_rng: one placement of K * n_tx packets under Philox key
@@ -1108,7 +1136,7 @@ class TestEstimatePoint:
 
     @pytest.mark.parametrize("rounds", [1, 7])
     def test_fewer_chunks_than_workers_times_four(self, rounds):
-        # 1 and 7 frames over 2 workers: fewer chunks than 8, uneven bounds
+        # 1 and 7 frames over 2 workers: one 34-frame block, so one chunk
         config = SystemConfig(frame_len=10000, burst_len=100)
         serial = estimate_point(config, LINK_10DB, 1.2, rounds, seed=13, workers=1)
         forked = estimate_point(config, LINK_10DB, 1.2, rounds, seed=13, workers=2)
@@ -1116,36 +1144,44 @@ class TestEstimatePoint:
 
     @pytest.mark.parametrize(
         "workers,rounds,cpus,size",
-        [(500, 10, 64, 10), (500, 1000, 2, 2), (3, 1000, 64, 3), (4, 50, None, 1)],
+        [(500, 10, 64, 1), (500, 1000, 2, 2), (3, 1000, 64, 3), (4, 50, None, 1)],
     )
     def test_pool_never_exceeds_chunks_or_cpus(
-        self, workers, rounds, cpus, size, monkeypatch
+        self, workers, rounds, cpus, size, serial_pool, monkeypatch
     ):
-        # a recorder stands in for the pool and maps serially, so no
-        # process is ever started
-        import concurrent.futures
-
-        sizes = []
-
-        class SerialPool:
-            def __init__(self, max_workers):
-                sizes.append(max_workers)
-
-            def __enter__(self):
-                return self
-
-            def __exit__(self, *exc):
-                return False
-
-            def map(self, fn, *iterables):
-                return map(fn, *iterables)
-
-        monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", SerialPool)
+        # 50 packets of 2 copies: K = 81, so 10 and 50 frames are one block
+        # and one chunk, 1000 frames are 13 blocks
         monkeypatch.setattr(simulator.os, "cpu_count", lambda: cpus)
         config = SystemConfig(frame_len=2000, burst_len=20)
         pooled = estimate_point(config, LINK_10DB, 0.5, rounds, seed=19, workers=workers)
-        assert sizes == [size]
+        assert serial_pool.sizes == [size]
         assert pooled == estimate_point(config, LINK_10DB, 0.5, rounds, seed=19)
+
+    @pytest.mark.parametrize(
+        "load,rounds,blocks", [(0.1, 150, 2), (1.5, 150, 25), (0.1, 10000, 99)]
+    )
+    def test_pooled_chunks_place_each_block_once(
+        self, load, rounds, blocks, serial_pool, monkeypatch
+    ):
+        # chunks cut by frame count alone would place 9, 31 and 106 blocks
+        config = SystemConfig(frame_len=200000, burst_len=500)
+        link = LinkModel.from_parameters(4, 0.5, 10.0, 500)
+        n_tx = round(load * 400)
+        k = block_size(n_tx, config.copies)
+        placed = []
+        place = simulator._place
+
+        def spy(rng, n, cfg):
+            placed.append(n)
+            return place(rng, n, cfg)
+
+        monkeypatch.setattr(simulator, "_place", spy)
+        estimate_point(config, link, load, rounds, seed=23, workers=2)
+        assert len(placed) == blocks == -(-rounds // k)
+        assert placed == [k * n_tx] * blocks
+        lo, hi = zip(*serial_pool.chunks)
+        assert lo[0] == 0 and hi[-1] == rounds and lo[1:] == hi[:-1]
+        assert all(a % k == 0 and a < b for a, b in zip(lo, hi))
 
     def test_zero_load(self):
         config = SystemConfig(frame_len=10000, burst_len=100)
