@@ -31,6 +31,8 @@ def snir_threshold(rate: float) -> tuple[float, float]:
     """Minimum SNIR to decode at ``rate`` bits/symbol, as (linear, dB).
 
     Inverts the Gaussian-channel capacity: the threshold is 2**rate - 1.
+    Below about 1.6e-16 bits/symbol, 2.0**rate rounds to 1.0 and the
+    threshold to 0, which has no dB value, so such a rate is refused.
     """
     if not rate > 0.0:
         raise InvalidParameterError(f"rate must be > 0, got {rate}")
@@ -38,6 +40,11 @@ def snir_threshold(rate: float) -> tuple[float, float]:
         linear = 2.0**rate - 1.0
     except OverflowError:
         raise InvalidParameterError(f"rate {rate} is beyond the float range") from None
+    if linear == 0.0:
+        raise InvalidParameterError(
+            f"rate {rate} bits/symbol is too small: its SNIR threshold "
+            "2**rate - 1 rounds to 0"
+        )
     return linear, 10.0 * math.log10(linear)
 
 

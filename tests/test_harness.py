@@ -2,6 +2,7 @@
 formats, policies and exit codes."""
 
 import contextlib
+import csv
 import io
 import json
 import os
@@ -455,6 +456,24 @@ class TestMain:
                 "--rounds", "4", "--workers", workers]
         assert_one_line_usage_error([*base, "--loads", "0.001"], capsys)
         assert main([*base, "--loads", "1"]) == EXIT_OK
+
+    @pytest.mark.parametrize("mode", ["analytic", "simulate"])
+    def test_rate_without_a_threshold_exits_usage(self, mode, capsys):
+        # --mod 4: the spectral rate is 2e-300, whose 2**rate - 1 rounds to 0
+        argv = [mode, "--tf", "1000", "--tau", "10", "--rate", "1e-300", "--loads", "0.5"]
+        assert main(argv) == EXIT_USAGE
+        out, err = capsys.readouterr()
+        assert out == ""
+        assert err.startswith("divaloha: rate 2e-300 ") and err.count("\n") == 1
+
+    @pytest.mark.parametrize("mode", ["simulate", "compare"])
+    def test_budget_past_int64_decodes_every_packet(self, mode, capsys):
+        # --snir-dec-db -300 gives a budget near 1e32, past what int64 holds
+        argv = [mode, "--tf", "2000", "--tau", "100", "--snir-dec-db", "-300",
+                "--loads", "0.5", "--rounds", "5"]
+        assert main(argv) == EXIT_OK
+        (row,) = csv.DictReader(io.StringIO(capsys.readouterr().out))
+        assert float(row["plr_sim"]) == 0.0
 
     @pytest.mark.parametrize(
         "grid", ["0:1e308:1e-308", "-1e308:1e308:1e-300", "0:1:1e-5", "0:2:0.00003"]

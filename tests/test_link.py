@@ -52,6 +52,18 @@ class TestSnirThreshold:
         with pytest.raises(InvalidParameterError):
             snir_threshold(0.0)
 
+    @pytest.mark.parametrize("rate", [1e-300, 1e-16, 5e-324])
+    def test_rejects_rate_whose_threshold_rounds_to_zero(self, rate):
+        # 2.0**rate rounds to 1.0, and log10(0) has no value
+        with pytest.raises(InvalidParameterError, match=f"rate {rate} "):
+            snir_threshold(rate)
+
+    def test_thresholds_are_two_to_the_rate_minus_one_exactly(self):
+        # not expm1, which gives 6.999999999999998 at rate 3
+        assert snir_threshold(3.0)[0] == 7.0
+        # the smallest rates that keep a threshold: 2**-52, one ulp above 1
+        assert snir_threshold(1.7e-16)[0] == 2.0**-52
+
     def test_rejects_rate_past_float_range(self):
         # 2**1100 - 1 has no float; e.g. --mod 2**1100 at --rate 1
         with pytest.raises(InvalidParameterError):

@@ -1092,19 +1092,62 @@ def decode_reference(interference, budget, copies):
     return int(np.count_nonzero((arr > budget.max_interference).all(axis=1)))
 
 
+# (n_tx, interference dtype) cases; int64, the dtype the sweep returns,
+# keeps the bare n_tx id
+_DECODE_CASES = [
+    pytest.param(
+        n_tx, dtype, id=str(n_tx) if dtype is np.int64 else f"{n_tx}-{dtype.__name__}"
+    )
+    for n_tx in (1, 2, 37, 600)
+    for dtype in (np.int64, np.int32, np.uint64, np.float64)
+]
+
+
 class TestDecodeFrameReference:
     BUDGET = DecodeBudget(50)
+    NEXT_BUDGET = DecodeBudget(51)
 
     @pytest.mark.parametrize("copies", [1, 2, 3, 4])
-    @pytest.mark.parametrize("n_tx", [1, 2, 37, 600])
-    def test_matches_row_reduction(self, copies, n_tx):
+    @pytest.mark.parametrize("n_tx, dtype", _DECODE_CASES)
+    def test_matches_row_reduction(self, copies, n_tx, dtype):
         # values straddle the budget, so many copies sit exactly on it
         rng = np.random.default_rng(100 * copies + n_tx)
         for _ in range(20):
-            interference = rng.integers(48, 53, size=(n_tx, copies))
+            interference = rng.integers(48, 53, size=(n_tx, copies)).astype(dtype)
             assert decode_frame(interference, self.BUDGET, copies) == (
                 decode_reference(interference, self.BUDGET, copies)
             )
+            # budgets alternate call by call, so a bound cached under the
+            # wrong limit counts the copies at 51 wrongly
+            assert decode_frame(interference, self.NEXT_BUDGET, copies) == (
+                decode_reference(interference, self.NEXT_BUDGET, copies)
+            )
+
+    # the largest int64, the first int past it, and past the budget of about
+    # 1e32 that --snir-dec-db -300 gives at tau 100
+    @pytest.mark.parametrize(
+        "limit", [2**63 - 1, 2**63, 10**33], ids=["int64_max", "past_int64", "1e33"]
+    )
+    @pytest.mark.parametrize(
+        "values",
+        [[0, 2**62, 2**63 - 2, 2**63 - 1], [0.0, 2.0**63, 1e33, 2e33]],
+        ids=["int64", "float64"],
+    )
+    def test_budgets_at_and_past_int64(self, limit, values):
+        # every pair of values as one packet's two copies
+        interference = np.array([[a, b] for a in values for b in values])
+        budget = DecodeBudget(limit)
+        assert decode_frame(interference, budget, 2) == (
+            decode_reference(interference, budget, 2)
+        )
+
+    def test_bound_is_built_once_per_limit(self):
+        bound = simulator._bound(50)
+        assert simulator._bound(50) is bound
+        assert bound.shape == () and bound.dtype == np.int64 and bound == 50
+        assert not bound.flags.writeable
+        # int64 cannot hold it, so it stays the exact Python int
+        assert simulator._bound(2**63) == 2**63 and type(simulator._bound(2**63)) is int
 
     @pytest.mark.parametrize("copies", [1, 2, 3, 4])
     def test_edge_frames(self, copies):
