@@ -16,6 +16,10 @@ per entry happens last. The counting is organized by what the disturber's
 first copy does to the tagged copy: full overlap, partial overlap, distant
 (clear of it by at least a burst), or a near miss (clear, but close enough
 to constrain where the second copy may fall).
+
+The fold uses the column sums of that count table, which have closed forms
+(``_fold_kernel``), so no table is built on its path; the table itself
+backs the event split, ``pmf_mass_by_first_event``.
 """
 
 from __future__ import annotations
@@ -80,9 +84,9 @@ def _numerators_by_first_event(frame_len: int, burst_len: int) -> np.ndarray:
 
     Returns a read-only int64 array of shape (4, burst_len + 1) whose rows
     are the full, partial, distant and near-miss groups, indexed by the
-    total overlap both copies together put on the tagged copy. The column
-    sum is the single disturber pmf numerator; each row's own total matches
-    the closed-form first-copy event probabilities.
+    total overlap both copies together put on the tagged copy. Each row's
+    total matches the closed-form first-copy event probabilities, and the
+    column sums are the numerators _fold_kernel gives in closed form.
     """
     tau = burst_len
     a = frame_len - tau + 1
@@ -106,8 +110,7 @@ def _numerators_by_first_event(frame_len: int, burst_len: int) -> np.ndarray:
     # partially and sum to x, 2(x - 1). Distant: the second copy overlaps by
     # x, 2c placements. Near miss: the second copy overlaps by x; of the 2x
     # closer offsets both sides of the tagged copy stay open, of the
-    # remaining 2(tau - x) only one side does, 4x + 2(tau - x) in all. The
-    # column sum is c0 + 6x with c0 = 2b + 2c - 2.
+    # remaining 2(tau - x) only one side does, 4x + 2(tau - x) in all.
     n_partial[1:tau] = 4 * x + 2 * (b - tau - 1)
     n_distant[1:tau] = 2 * c
     n_near[1:tau] = 2 * tau + 2 * x
@@ -117,11 +120,6 @@ def _numerators_by_first_event(frame_len: int, burst_len: int) -> np.ndarray:
     n_distant[0] = c * (a - 2 * (2 * tau - 1))
     n_near[0] = 2 * tau * (a - 3 * tau + 1) - tau * (tau - 1)
 
-    total = int(counts.sum())
-    if total != a * b:
-        raise AssertionError(
-            f"event counts cover {total} placements, expected {a * b}"
-        )
     counts.setflags(write=False)
     return counts
 
@@ -136,18 +134,20 @@ class _FoldKernel(NamedTuple):
     den: int
 
 
-@lru_cache(maxsize=128)
 def _fold_kernel(frame_len: int, burst_len: int) -> _FoldKernel:
-    """The kernel read off the count table, whose total is A*B."""
+    """The kernel in closed form: the column sums of the count table.
+
+    At overlap tau the four groups give b + c + 2 tau + 2(tau - 1); inside,
+    c0 = 2b + 2c - 2 (no interior at tau = 1); at zero, the distant
+    c(a - 4 tau + 2) plus the near misses summed over z < tau.
+    """
     tau = burst_len
-    counts = _numerators_by_first_event(frame_len, burst_len)
-    numerators = counts.sum(axis=0)
-    c0 = int(numerators[1]) - 6 if tau > 1 else 0
-    if not np.array_equal(numerators[1:tau], c0 + 6 * np.arange(1, tau)):
-        raise AssertionError("interior pmf numerators are not c0 + 6x")
-    return _FoldKernel(
-        int(numerators[0]), c0, int(numerators[tau]), int(counts.sum())
-    )
+    a = frame_len - tau + 1
+    b = a - (2 * tau - 1)
+    c = a - (4 * tau - 1)
+    n0 = c * (a - 4 * tau + 2) + 2 * tau * (a - 3 * tau + 1) - tau * (tau - 1)
+    c0 = 2 * b + 2 * c - 2 if tau > 1 else 0
+    return _FoldKernel(n0, c0, b + c + 4 * tau - 2, a * b)
 
 
 @dataclass(frozen=True, eq=False)
@@ -254,8 +254,8 @@ def pmf_mass_by_first_event(config: SystemConfig) -> EventSplit:
     """
     _require_analytic(config)
     counts = _numerators_by_first_event(config.frame_len, config.burst_len)
-    den = _fold_kernel(config.frame_len, config.burst_len).den
-    return EventSplit(*(int(group.sum()) / den for group in counts))
+    a, b = _event_space(config)
+    return EventSplit(*(int(group.sum()) / (a * b) for group in counts))
 
 
 class FullOverlapBreakdown(NamedTuple):
@@ -451,16 +451,6 @@ def _require_fold_bound(n_dp: int) -> None:
         )
 
 
-def _folded_pmf(
-    config: SystemConfig, n_dp: int, probs: np.ndarray
-) -> InterferencePmf:
-    full_support = n_dp * config.burst_len
-    limit = probs.shape[0] - 1
-    return InterferencePmf(
-        config, n_dp, probs, None if limit == full_support else limit
-    )
-
-
 def interference_distribution(
     config: SystemConfig, n_dp: int, trunc_len: int | None = None
 ) -> InterferencePmf:
@@ -483,7 +473,11 @@ def interference_distribution(
         return delta_pmf(config)
     for probs in _fold(config, n_dp, trunc_len):
         pass
-    return _folded_pmf(config, n_dp, probs)
+    limit = probs.shape[0] - 1
+    full_support = n_dp * config.burst_len
+    return InterferencePmf(
+        config, n_dp, probs, None if limit == full_support else limit
+    )
 
 
 def p_copy_decoded(pmf: InterferencePmf, budget: DecodeBudget) -> float:
@@ -515,11 +509,17 @@ def n_tx_for_load(config: SystemConfig, load: float) -> int:
     """Transmitter count giving normalized load ``load``.
 
     Ties round half away from zero so the analytic and simulated paths agree
-    on the same packet count at every grid value.
+    on the same packet count at every grid value. A load whose packet count
+    overflows a float is refused.
     """
     if not (math.isfinite(load) and load >= 0.0):
         raise InvalidParameterError(f"load must be finite and >= 0, got {load}")
-    return int(math.floor(load * config.frame_len / config.burst_len + 0.5))
+    packets = load * config.frame_len / config.burst_len + 0.5
+    if not math.isfinite(packets):
+        raise InvalidParameterError(
+            f"load {load} puts more packets in a frame than a float can count"
+        )
+    return int(math.floor(packets))
 
 
 @dataclass(frozen=True)
@@ -542,38 +542,34 @@ def analytic_curve(
     sampled along the way, by the same fold as interference_distribution,
     so every point equals the per-load fold exactly. Intermediates are
     truncated at the decode budget, which the loss probability only ever
-    reads the cdf up to, so each disturber costs O(budget). An empty frame
-    loses nothing, so n_tx = 0 reports plr 0 (and p_ccd 1 to keep the
-    packet identity). A load whose n_tx - 1 exceeds MAX_FOLD_STEPS raises
-    WorkBoundError before any step.
+    reads the cdf up to, so each disturber costs O(budget) and a row's sum
+    is its cdf at the budget. A link that cannot decode loses every copy
+    and runs no fold. An empty frame loses nothing, so n_tx = 0 reports
+    plr 0 (and p_ccd 1 to keep the packet identity). A load whose n_tx - 1
+    exceeds MAX_FOLD_STEPS raises WorkBoundError before any step.
     """
     _require_analytic(config)
     n_by_load = [n_tx_for_load(config, g) for g in loads]
     # the largest load needs the most steps; refuse it before any step
     _require_fold_bound(max(n_by_load, default=0) - 1)
 
+    # p_ccd by disturber count; none on a link that cannot decode
     budget = link.budget
-    if not budget.decodable:
-        return [
-            CurvePoint(g, n, 1.0, 0.0, 0.0)
-            if n == 0
-            else CurvePoint(g, n, 0.0, 1.0, 0.0)
-            for g, n in zip(loads, n_by_load)
-        ]
-
-    needed = {n - 1 for n in n_by_load if n >= 1}
-    p_ccd_at = {0: p_copy_decoded(delta_pmf(config), budget)}
-    fold = _fold(config, max(needed, default=0), budget.max_interference)
-    for n_dp, probs in enumerate(fold, start=1):
-        if n_dp in needed:
-            p_ccd_at[n_dp] = p_copy_decoded(_folded_pmf(config, n_dp, probs), budget)
+    p_ccd_at = {}
+    if budget.decodable:
+        p_ccd_at[0] = 1.0
+        needed = {n - 1 for n in n_by_load if n >= 1}
+        fold = _fold(config, max(needed, default=0), budget.max_interference)
+        for n_dp, probs in enumerate(fold, start=1):
+            if n_dp in needed:
+                p_ccd_at[n_dp] = float(np.add.reduce(probs))
 
     points = []
     for g, n in zip(loads, n_by_load):
         if n == 0:
             points.append(CurvePoint(g, 0, 1.0, 0.0, 0.0))
             continue
-        p_ccd = p_ccd_at[n - 1]
+        p_ccd = p_ccd_at.get(n - 1, 0.0)
         plr = (1.0 - p_ccd) ** 2
         points.append(CurvePoint(g, n, p_ccd, plr, g * (1.0 - plr)))
     return points

@@ -309,6 +309,8 @@ def parse_spec(argv) -> RunSpec:
     if out_format not in ("csv", "json"):
         raise UsageError(f"--format must be csv or json, got {out_format!r}")
     out_path = pick("out")
+    if out_path is not None and not isinstance(out_path, str):
+        raise UsageError(f"--out must be a path, got {out_path!r}")
 
     return RunSpec(
         mode=mode,

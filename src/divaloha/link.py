@@ -10,6 +10,7 @@ collider of the summed overlap, so a single symbol budget captures it.
 from __future__ import annotations
 
 import math
+import operator
 from dataclasses import dataclass
 from fractions import Fraction
 
@@ -70,16 +71,26 @@ class DecodeBudget:
 
     ``max_interference`` is the largest overlap (symbols) that still decodes.
     None means the SNR alone is below threshold: the burst fails even with
-    no interference at all.
+    no interference at all. Any other value must be an integer, which is
+    stored as the int it equals; a float, bool or str is refused.
     """
 
     max_interference: int | None
 
     def __post_init__(self) -> None:
-        if self.max_interference is not None and self.max_interference < 0:
+        limit = self.max_interference
+        if limit is None:
+            return
+        # ints and numpy integers have __index__; floats and str do not, and
+        # a bool, which has, is not a symbol count
+        if isinstance(limit, bool) or not hasattr(limit, "__index__"):
             raise InvalidParameterError(
-                f"max_interference must be >= 0, got {self.max_interference}"
+                f"max_interference must be an int or None, got {limit!r}"
             )
+        limit = operator.index(limit)
+        if limit < 0:
+            raise InvalidParameterError(f"max_interference must be >= 0, got {limit}")
+        object.__setattr__(self, "max_interference", limit)
 
     @property
     def decodable(self) -> bool:

@@ -481,10 +481,10 @@ def decode_frame(
     int64 array built once per limit and cached: one scalar conversion per
     budget, not one per frame. numpy converts a Python int operand on
     every compare, which costs 0.2-0.5 us of a decode of about 2 us on a
-    2-core x86 host, and a 0-d array not at all. A limit fits when it is an
-    exact int in -2**63 .. 2**63 - 1. Any other limit (one past the int64
-    range, as ``--snir-dec-db -300`` gives, or one that is not an int) is
-    compared as it is, so the count is the same either way.
+    2-core x86 host, and a 0-d array not at all. A limit fits when it is in
+    -2**63 .. 2**63 - 1 (DecodeBudget holds only ints). A limit past the
+    int64 range, as ``--snir-dec-db -300`` gives, is compared as the
+    Python int it is, so the count is the same either way.
     """
     try:
         n_packets, columns = interference.shape
@@ -501,8 +501,7 @@ def decode_frame(
     least = interference[:, 0]
     for c in range(1, copies):
         least = np.minimum(least, interference[:, c])
-    bound = _bound(limit) if type(limit) is int else limit
-    return int(np.count_nonzero(least > bound))
+    return int(np.count_nonzero(least > _bound(limit)))
 
 
 @functools.lru_cache(maxsize=8)

@@ -33,6 +33,7 @@ from divaloha import (
     pmf_mass_by_first_event,
     single_dp_pmf,
 )
+from divaloha import analytic
 from divaloha.analytic import _fold
 from divaloha.harness import main
 
@@ -281,6 +282,65 @@ def _tau_grid():
     for tau in (1, 2, 5, 10, 100, 1000):
         for frame in (5 * tau - 2, 10 * tau, 20 * tau, 100 * tau):
             yield geometry(frame, tau)
+
+
+def _assert_kernel_is_table_column_sums(config):
+    tau = config.burst_len
+    counts = analytic._numerators_by_first_event(config.frame_len, tau)
+    sums = [int(v) for v in counts.sum(axis=0)]
+    n0, c0, n_tau, den = analytic._fold_kernel(config.frame_len, tau)
+    a = config.frame_len - tau + 1
+    assert den == a * (a - (2 * tau - 1)) == sum(sums)
+    assert (n0, n_tau) == (sums[0], sums[tau])
+    assert sums[1:tau] == [c0 + 6 * x for x in range(1, tau)]
+    if tau == 1:
+        assert c0 == 0
+
+
+class TestFoldKernel:
+    """The closed-form kernel against the count table it summarizes."""
+
+    @pytest.mark.parametrize(
+        "config", list(_tau_grid()), ids=lambda c: f"{c.frame_len}/{c.burst_len}"
+    )
+    def test_closed_form_is_table_column_sums_on_grid(self, config):
+        _assert_kernel_is_table_column_sums(config)
+
+    @settings(deadline=None, max_examples=60)
+    @given(config=analytic_configs(max_burst=200))
+    def test_closed_form_is_table_column_sums(self, config):
+        _assert_kernel_is_table_column_sums(config)
+
+    def test_runtime_path_never_builds_the_table(self, monkeypatch):
+        # a geometry (ratio 243) no other test draws, so no cache holds it
+        config = geometry(9973, 41)
+        links = [LinkModel.from_parameters(4, r, 10.0, 41) for r in (0.5, 0.25)]
+        # budgets 36 (one-row fold) and 94 (two-row fold steps)
+        assert [lm.budget.max_interference for lm in links] == [36, 94]
+        loads = [0.0, 0.01, 0.3, 0.9, 1.6]
+
+        def values():
+            return (
+                [analytic_curve(config, lm, loads) for lm in links],
+                [
+                    interference_distribution(config, n, t).probs.tobytes()
+                    for n in (1, 3, 7)
+                    for t in (None, 36, 94)
+                ],
+                single_dp_pmf(config).probs.tobytes(),
+            )
+
+        def refuse(*args):
+            raise AssertionError("count table built on a runtime path")
+
+        monkeypatch.setattr(analytic, "_numerators_by_first_event", refuse)
+        without_table = values()
+        monkeypatch.undo()
+        assert without_table == values()
+        counts = analytic._numerators_by_first_event(9973, 41)
+        den = analytic._fold_kernel(9973, 41).den
+        want = np.array([int(n) / den for n in counts.sum(axis=0)])
+        assert without_table[2] == want.tobytes()
 
 
 class TestFold:
@@ -549,6 +609,12 @@ class TestLoadMapping:
     def test_non_finite_rejected(self, load):
         with pytest.raises(InvalidParameterError):
             n_tx_for_load(geometry(10000, 100), load)
+
+    @pytest.mark.parametrize("load", [1e308, 1e306, 1.7976931348623157e308])
+    def test_packet_count_past_the_float_range_rejected(self, load):
+        # load * frame_len / burst_len is inf, which no int holds
+        with pytest.raises(InvalidParameterError, match="more packets"):
+            n_tx_for_load(geometry(100000, 1000), load)
 
 
 class TestAnalyticCurve:

@@ -476,6 +476,33 @@ class TestMain:
         assert float(row["plr_sim"]) == 0.0
 
     @pytest.mark.parametrize(
+        "mode, load",
+        [("analytic", "1e308"), ("simulate", "1e306"), ("simulate", "1e308"),
+         ("compare", "1e308")],
+    )
+    def test_load_whose_packet_count_overflows_exits_usage(self, mode, load, capsys):
+        # load * frame_len / burst_len overflows a float: no packet count
+        argv = [mode, "--tf", "100000", "--tau", "1000", "--loads", load, "--rounds", "1"]
+        assert main(argv) == EXIT_USAGE
+        out, err = capsys.readouterr()
+        assert out == ""
+        assert err.startswith(f"divaloha: load {float(load)} ") and err.count("\n") == 1
+
+    @pytest.mark.parametrize("value", ["1", "true", "7", '["a"]'])
+    def test_config_out_that_is_not_a_path_exits_usage(self, value, tmp_path):
+        # in a child process: an int out would be opened as that file
+        # descriptor, and out 1 would close the caller's stdout
+        cfg = tmp_path / "run.json"
+        cfg.write_text(f'{{"out": {value}}}')
+        out = run_module(
+            "analytic", "--tf", "1000", "--tau", "5", "--loads", "0.5", f"--config={cfg}"
+        )
+        assert out.returncode == EXIT_USAGE
+        assert out.stdout == ""
+        assert out.stderr.startswith("divaloha: --out must be a path, got ")
+        assert out.stderr.count("\n") == 1
+
+    @pytest.mark.parametrize(
         "grid", ["0:1e308:1e-308", "-1e308:1e308:1e-300", "0:1:1e-5", "0:2:0.00003"]
     )
     def test_overflowing_or_over_bound_load_grid_exits_usage(self, grid, capsys):
@@ -589,13 +616,15 @@ _CONTRACT_FLAGS = {
 
 
 # --loads values: valid lists and grids, and grids that must exit 2 (not a
-# number, an overflowing count, more than MAX_LOADS points)
+# number, an overflowing count, more than MAX_LOADS points, a load whose
+# packet count overflows a float)
 _GOOD_LOADS = ["0.5", "0.2,0.9", "0:1:0.5", "1.4"]
-_BAD_GRIDS = ["nan:1:0.5", "0:1:0", "1:0:0.5", "0:1e308:1e-308", "0:1:1e-5"]
+_BAD_GRIDS = ["nan:1:0.5", "0:1:0", "1:0:0.5", "0:1e308:1e-308", "0:1:1e-5", "1e308"]
 
 # --config files, written once per module: a valid file, one whose loads are
 # a list, one whose loads are an overflowing grid, one that is not JSON, one
-# with a key no flag has and one with a policy that does not exist
+# with a key no flag has, one with a policy that does not exist and one whose
+# output path is a number
 _CONFIG_FILES = {
     "plain": '{"tf": 1000, "tau": 5, "rounds": 2}',
     "list_loads": '{"loads": [0.3, 0.6], "seed": 4}',
@@ -603,6 +632,7 @@ _CONFIG_FILES = {
     "not_json": "{tf: 1000",
     "unknown_key": '{"frames": 3}',
     "bad_policy": '{"policy": "bogus"}',
+    "int_out": '{"out": 1}',
 }
 
 # inputs every mode refuses
@@ -657,7 +687,7 @@ def contract_argv(draw):
     refused = (
         (bad_grid and mode != "threshold")
         or rounds == _OVER_BOUND_ROUNDS
-        or config == "bad_policy"
+        or config in ("bad_policy", "int_out")
     )
     over_bound = {"threshold": [], "simulate": [_OVER_BOUND_FRAME]}.get(
         mode, [_OVER_BOUND_FRAME, _OVER_BOUND_FOLD]

@@ -4,6 +4,7 @@ capacity bound and the SNIR ratio, not read back from the implementation."""
 import math
 from fractions import Fraction
 
+import numpy as np
 import pytest
 from hypothesis import given, strategies as st
 
@@ -170,6 +171,21 @@ class TestDecodeBudget:
 
     def test_zero_is_decodable(self):
         assert DecodeBudget(0).decodable
+
+    @pytest.mark.parametrize(
+        "limit",
+        [20.0, True, False, "3", np.float64(2.0), np.True_],
+        ids=["float", "true", "false", "str", "np-float", "np-bool"],
+    )
+    def test_non_integer_budget_rejected(self, limit):
+        with pytest.raises(InvalidParameterError, match="must be an int or None"):
+            DecodeBudget(limit)
+
+    @pytest.mark.parametrize("kind", [np.int64, np.int32, np.uint64])
+    def test_numpy_integer_is_stored_as_the_int_it_equals(self, kind):
+        budget = DecodeBudget(kind(50))
+        assert type(budget.max_interference) is int
+        assert budget == DecodeBudget(50) and hash(budget) == hash(DecodeBudget(50))
 
 
 class TestLinkModel:
