@@ -481,7 +481,8 @@ def interference_distribution(
 
 
 def p_copy_decoded(pmf: InterferencePmf, budget: DecodeBudget) -> float:
-    """Probability one tagged copy decodes: overlap cdf at the budget."""
+    """Probability one tagged copy decodes: overlap cdf at the budget,
+    exactly 1 for an untruncated pmf whose whole support the budget covers."""
     if not budget.decodable:
         return 0.0
     x_dec = budget.max_interference
@@ -490,8 +491,10 @@ def p_copy_decoded(pmf: InterferencePmf, budget: DecodeBudget) -> float:
             f"pmf truncated at {pmf.truncated_at} cannot answer a cdf query "
             f"at {x_dec}"
         )
-    end = min(x_dec + 1, pmf.support_len)
-    return float(np.add.reduce(pmf.probs[:end]))
+    if pmf.truncated_at is None and x_dec + 1 >= pmf.support_len:
+        # the whole support decodes; the summed pmf would be 1 +- a few ulp
+        return 1.0
+    return float(np.add.reduce(pmf.probs[:x_dec + 1]))
 
 
 def p_packet_decoded(p_ccd: float) -> float:
@@ -543,10 +546,12 @@ def analytic_curve(
     so every point equals the per-load fold exactly. Intermediates are
     truncated at the decode budget, which the loss probability only ever
     reads the cdf up to, so each disturber costs O(budget) and a row's sum
-    is its cdf at the budget. A link that cannot decode loses every copy
-    and runs no fold. An empty frame loses nothing, so n_tx = 0 reports
-    plr 0 (and p_ccd 1 to keep the packet identity). A load whose n_tx - 1
-    exceeds MAX_FOLD_STEPS raises WorkBoundError before any step.
+    is its cdf at the budget; a count whose whole support the budget
+    covers decodes with probability exactly 1. A link that cannot decode
+    loses every copy and runs no fold. An empty frame loses nothing, so
+    n_tx = 0 reports plr 0 (and p_ccd 1 to keep the packet identity). A
+    load whose n_tx - 1 exceeds MAX_FOLD_STEPS raises WorkBoundError before
+    any step.
     """
     _require_analytic(config)
     n_by_load = [n_tx_for_load(config, g) for g in loads]
@@ -562,7 +567,9 @@ def analytic_curve(
         fold = _fold(config, max(needed, default=0), budget.max_interference)
         for n_dp, probs in enumerate(fold, start=1):
             if n_dp in needed:
-                p_ccd_at[n_dp] = float(np.add.reduce(probs))
+                # n_dp * tau <= budget: every overlap decodes, exactly
+                full = n_dp * config.burst_len <= budget.max_interference
+                p_ccd_at[n_dp] = 1.0 if full else float(np.add.reduce(probs))
 
     points = []
     for g, n in zip(loads, n_by_load):

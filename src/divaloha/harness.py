@@ -230,6 +230,29 @@ def _build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+def _attach_number_values(argv: list[str]) -> list[str]:
+    """``argv`` with each number that follows a value flag written onto it
+    (``--snr-db -1e1`` as ``--snr-db=-1e1``). argparse takes only ``-10``
+    and ``-1.5`` spellings of a negative number as a value, and reads
+    ``-1e1`` or ``-inf`` as an unknown flag; every divaloha flag but
+    ``--help`` takes a value, so a token there that parses as a number
+    (``_number``'s rules) is that flag's value."""
+    out = []
+    for token in argv:
+        flag = out[-1] if out else ""
+        takes_value = not "--help".startswith(flag) and "=" not in flag
+        if flag.startswith("--") and takes_value and token.startswith("-"):
+            try:
+                _number(token, flag)
+            except UsageError:
+                pass
+            else:
+                out[-1] = f"{flag}={token}"
+                continue
+        out.append(token)
+    return out
+
+
 def _load_config_file(path: str) -> dict:
     try:
         with open(path, encoding="utf-8") as fh:
@@ -253,7 +276,8 @@ def parse_spec(argv) -> RunSpec:
 
     Precedence: command line, then config file, then built-in defaults.
     """
-    ns = _build_parser().parse_args(argv)
+    argv = sys.argv[1:] if argv is None else argv
+    ns = _build_parser().parse_args(_attach_number_values(argv))
     from_file = _load_config_file(ns.config) if ns.config else {}
 
     def pick(dest: str):

@@ -72,9 +72,9 @@ class FrameStream:
     keeps the last block it placed and swept, so the frames of one block
     cost one placement and one sweep between them.
 
-    ``rng`` is the Philox-backed Generator it re-keys for each block; a new
-    one by default. ``overlap`` is the overlap on every copy of the frame
-    last asked of it, swept under the config it was placed under.
+    It keys a fresh Philox generator per block (see _block_rng) and holds
+    no generator itself. ``overlap`` is the overlap on every copy of the
+    frame last asked of it, swept under the config it was placed under.
 
     The block held is frames ``[lo, hi)`` of one seed, placed and swept for
     one n_tx under one config. A frame asked in that range under the same
@@ -85,15 +85,14 @@ class FrameStream:
     """
 
     __slots__ = (
-        "seed", "frame_index", "overlap", "_rng", "_key", "_lo", "_hi",
-        "_starts", "_overlap",
+        "seed", "frame_index", "overlap", "_key", "_lo", "_hi", "_starts",
+        "_overlap",
     )
 
-    def __init__(self, rng: np.random.Generator | None = None) -> None:
+    def __init__(self) -> None:
         self.seed = 0
         self.frame_index = 0
         self.overlap = None
-        self._rng = np.random.Generator(np.random.Philox()) if rng is None else rng
         # the block held: frames _lo.._hi-1 under _key = (seed, n_tx, config),
         # its starts and overlap as read-only (K, n_tx, copies) rows
         self._key = None
@@ -131,8 +130,7 @@ class FrameStream:
                 raise InvalidParameterError(
                     f"frame {f} is in block {block}, outside 0..2**64-1"
                 )
-            _rekey(self._rng, self.seed, block)
-            starts = _place(self._rng, k * n_tx, config)
+            starts = _place(_block_rng(self.seed, block), k * n_tx, config)
             overlap = _sweep(starts, k, config)
             starts.flags.writeable = False
             overlap.flags.writeable = False
@@ -152,28 +150,14 @@ def _block_frames(n_tx: int, copies: int) -> int:
     return max(1, BLOCK_COPIES // (n_tx * copies or 1))
 
 
-def _rekey(rng: np.random.Generator, seed: int, block: int) -> None:
-    """Set ``rng`` to key ``[block, seed]`` (the 128-bit
-    ``(seed << 64) | block``) at counter 0 with empty buffers: the stream
-    of ``Generator(Philox(key=(seed << 64) | block))``, built in place.
-
-    The state setter reads ``counter``, ``key`` and ``buffer`` element by
-    element, so they are given as tuples of plain ints: no uint64 array is
-    built or parsed per block, and the key words are the same. ``seed`` and
-    ``block`` are each one key word, in 0..2**64-1 (``FrameStream.starts``
-    checks them).
-    """
-    rng.bit_generator.state = {
-        "bit_generator": "Philox",
-        "state": {
-            "counter": (0, 0, 0, 0),
-            "key": (block, seed),
-        },
-        "buffer": (0, 0, 0, 0),
-        "buffer_pos": 4,
-        "has_uint32": 0,
-        "uinteger": 0,
-    }
+def _block_rng(seed: int, block: int) -> np.random.Generator:
+    """A fresh generator for block ``block`` of point seed ``seed``: Philox
+    keyed ``(seed << 64) | block`` at counter 0, as RNG_STREAM_RULE says.
+    ``seed`` and ``block`` are each one key word, in 0..2**64-1
+    (``FrameStream.starts`` checks them); the seed is taken as a Python int,
+    since a numpy uint64 would wrap in the shift."""
+    key = (operator.index(seed) << 64) | block
+    return np.random.Generator(np.random.Philox(key=key))
 
 
 def frame_rng(
@@ -186,8 +170,9 @@ def frame_rng(
 
     Given a ``stream`` (typically the one an earlier call returned), it is
     moved to the new frame and returned; no key is set here. The stream
-    re-keys, and places and sweeps a new block, only when ``draw_frame``
-    asks it for a frame outside the block it holds.
+    keys a fresh Philox generator per block, and places and sweeps a new
+    block, only when ``draw_frame`` asks it for a frame outside the block
+    it holds.
     """
     if stream is None:
         stream = FrameStream()
@@ -244,11 +229,11 @@ def draw_frame(stream: FrameStream, n_tx: int, config: SystemConfig) -> Frame:
 
     Every copy is uniform over the starts left admissible by the packet's
     earlier copies, frame edges included (see ``_place``). Drawing the first
-    frame of a block places and sweeps the whole block, so the frame comes
-    with read-only views of its starts and its overlap under ``config``. A
-    block that holds a dead end raises PlacementImpossibleError, and one too
-    long for a sort key raises ConfigError, at the first frame drawn from
-    it.
+    frame of a block keys a fresh Philox generator for the block, then
+    places and sweeps the whole block, so the frame comes with read-only
+    views of its starts and its overlap under ``config``. A block that
+    holds a dead end raises PlacementImpossibleError, and one too long for
+    a sort key raises ConfigError, at the first frame drawn from it.
 
     ``stream`` is duck-typed: this calls ``stream.starts(n_tx, config)``
     once and then reads ``stream.overlap`` from the object it was given, so

@@ -571,6 +571,21 @@ class TestDecodeProbabilities:
         # exactly covering is fine
         assert p_copy_decoded(pmf, DecodeBudget(2)) > 0.0
 
+    def test_budget_covering_the_support_decodes_exactly(self):
+        # 3 disturbers of 7 symbols overlap a copy by at most 21; the pmf
+        # sums to 1 within a few ulp, and its packet probability must be 1
+        pmf = interference_distribution(geometry(50, 7), 3)
+        for x_dec in (21, 22, 10**30):
+            assert p_copy_decoded(pmf, DecodeBudget(x_dec)) == 1.0
+        assert p_packet_decoded(p_copy_decoded(pmf, DecodeBudget(21))) == 1.0
+        # on a small grid, whatever the rounding of the sum
+        for tau in range(1, 7):
+            for frame_len in range(5 * tau - 2, 5 * tau + 12):
+                config = geometry(frame_len, tau)
+                for n_dp in range(1, 6):
+                    pmf = interference_distribution(config, n_dp)
+                    assert p_copy_decoded(pmf, DecodeBudget(n_dp * tau)) == 1.0
+
     def test_packet_from_copy(self):
         assert p_packet_decoded(0.0) == 0.0
         assert p_packet_decoded(1.0) == 1.0
@@ -678,6 +693,22 @@ class TestAnalyticCurve:
         pts = analytic_curve(config, link, loads)
         for prev, cur in zip(pts, pts[1:]):
             assert cur.plr >= prev.plr - 1e-12
+
+    @pytest.mark.parametrize(
+        "config, link, loads",
+        [
+            # budgets past n_dp * tau: 49 disturbers of 10 symbols at a
+            # -300 dB threshold, and 1 disturber of 10 under a budget of 10
+            (geometry(1000, 10), LinkModel.from_parameters(4, 0.5, 10.0, 10, -300.0), [0.5]),
+            (geometry(60, 10), LinkModel.from_parameters(4, 0.25, 20.0, 10), [0.3, 0.4]),
+        ],
+    )
+    def test_budget_covering_the_support_loses_nothing(self, config, link, loads):
+        assert (n_tx_for_load(config, max(loads)) - 1) * config.burst_len <= (
+            link.budget.max_interference
+        )
+        for pt in analytic_curve(config, link, loads):
+            assert (pt.p_ccd, pt.plr, pt.throughput) == (1.0, 0.0, pt.load)
 
     def test_rejects_unsupported_geometry(self):
         link = LinkModel.from_parameters(4, 0.5, 10.0, 100)

@@ -383,6 +383,26 @@ class TestMain:
         assert main(["analytic", "--wat", "1"]) == EXIT_USAGE
 
     @pytest.mark.parametrize(
+        "flag, spelled, plain",
+        [("--snr-db", "-1e1", "-10"), ("--snir-dec-db", "-3e0", "-3")],
+    )
+    def test_negative_values_in_any_float_spelling(self, flag, spelled, plain, capsys):
+        # argparse takes only -10 and -1.5 as negative numbers by itself
+        argv = ["threshold", "--tau", "10", flag]
+        assert main(argv + [plain]) == EXIT_OK
+        want = capsys.readouterr().out
+        assert main(argv + [spelled]) == EXIT_OK
+        assert capsys.readouterr().out == want
+        assert main(argv[:-1] + [f"{flag}={spelled}"]) == EXIT_OK
+        assert capsys.readouterr().out == want
+
+    def test_negative_infinity_reaches_the_link_rule(self, capsys):
+        code = main(["threshold", "--tau", "10", "--snr-db", "-inf"])
+        assert code == EXIT_USAGE
+        err = capsys.readouterr().err
+        assert "snr_linear must be finite and > 0" in err and err.count("\n") == 1
+
+    @pytest.mark.parametrize(
         "loads", ["nan", "inf", "-inf", "0.5,nan", "0:inf:0.1", "nan:1:0.1", "1e400"]
     )
     def test_non_finite_loads_exit_usage(self, loads, capsys):

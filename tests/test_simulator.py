@@ -119,18 +119,6 @@ def test_frame_rng_is_reproducible():
     assert not np.array_equal(a, c)
 
 
-def dirty_generators():
-    """Philox Generators whose state is mid-stream, not freshly keyed."""
-    odd = np.random.Generator(np.random.Philox(key=5))
-    for _ in range(3):
-        odd.integers(0, 1000)  # leaves a buffered uint32
-    assert odd.bit_generator.state["has_uint32"] == 1
-    partial = np.random.Generator(np.random.Philox(key=6))
-    partial.random(3)  # leaves a partly used 64-bit buffer
-    assert partial.bit_generator.state["buffer_pos"] < 4
-    return [odd, partial]
-
-
 class TestFrameRngRekey:
     """RNG_STREAM_RULE v3: one Philox key per block of K frames, frame f is
     its rows of block f // K."""
@@ -149,16 +137,6 @@ class TestFrameRngRekey:
             want = draw_frame(frame_rng(seed, f), 20, config).starts
             assert np.array_equal(got, want)
 
-    def test_rekey_resets_buffers(self):
-        # a stream handed a mid-stream Generator still places the keyed block
-        config = SystemConfig(frame_len=3000, burst_len=100)
-        for rng in dirty_generators():
-            stream = simulator.FrameStream(rng)
-            got = draw_frame(frame_rng(3, 4, stream), 20, config).starts
-            assert np.array_equal(got, reference_frame(3, 4, 20, config))
-            state = rng.bit_generator.state
-            assert state["state"]["key"].tolist() == [0, 3]
-
     @pytest.mark.parametrize(
         "seed, f",
         [(0, 0), (7, 1), (1 << 63, 12345), ((1 << 64) - 1, (1 << 64) - 1)],
@@ -169,9 +147,25 @@ class TestFrameRngRekey:
             want = reference_frame(seed, f, 20, config)
             got = draw_frame(frame_rng(seed, f), 20, config).starts
             assert np.array_equal(got, want)
-            for rng in dirty_generators():
-                stream = frame_rng(seed, f, simulator.FrameStream(rng))
-                assert np.array_equal(draw_frame(stream, 20, config).starts, want)
+
+    def test_each_placed_block_gets_a_fresh_key(self, monkeypatch):
+        # blocks 0, 1, 0, 2 of one seed: one _block_rng call per block
+        # placed, with that block's key, and none for a frame of the held one
+        config = SystemConfig(frame_len=3000, burst_len=100)
+        k = block_size(20, 2)
+        keys = []
+
+        def block_rng_spy(seed, block, _real=simulator._block_rng):
+            keys.append((seed, block))
+            return _real(seed, block)
+
+        monkeypatch.setattr(simulator, "_block_rng", block_rng_spy)
+        stream = None
+        for f in [0, k, 1, 2 * k, 2 * k + 1]:
+            stream = frame_rng(7, f, stream)
+            got = draw_frame(stream, 20, config).starts
+            assert np.array_equal(got, reference_frame(7, f, 20, config))
+        assert keys == [(7, 0), (7, 1), (7, 0), (7, 2)]
 
     @pytest.mark.parametrize("copies", [1, 2])
     def test_keys_outside_64_bits_are_refused(self, copies):
@@ -330,7 +324,8 @@ class TestStreamHits:
         n = block_size(3, 2) * 3
         # first copies at 0 block starts 0..9 of 16, so the second has room
         rng = ScriptedRng(np.zeros(n), np.arange(n) % 6)
-        stream = simulator.FrameStream(rng)
+        keys = script_blocks(monkeypatch, rng)
+        stream = simulator.FrameStream()
         held = draw_frame(frame_rng(5, 1, stream), 3, config)
         assert np.array_equal(held.overlap, per_copy_interference_brute(held, config))
         placed = []
@@ -352,6 +347,7 @@ class TestStreamHits:
         assert len(placed) == 1
         again = draw_frame(frame_rng(5, 1, stream), 3, config)
         assert len(placed) == 1
+        assert keys == [(5, 0), (5, f // block_size(3, 2))]
         assert np.array_equal(again.starts, held.starts)
         assert np.array_equal(again.overlap, held.overlap)
 
@@ -540,13 +536,11 @@ class TestDrawFrame:
 
 class ScriptedRng:
     """Stands in for a Generator: each ``integers`` call returns the next
-    scripted array and records the upper bounds it was asked for. Its
-    ``bit_generator.state`` keeps the last state a stream keyed it with."""
+    scripted array and records the upper bounds it was asked for."""
 
     def __init__(self, *outputs):
         self.outputs = list(outputs)
         self.highs = []
-        self.bit_generator = types.SimpleNamespace(state=None)
 
     def integers(self, low, high, size=None):
         assert low == 0
@@ -554,6 +548,19 @@ class ScriptedRng:
         assert np.all(out < high)
         self.highs.append(np.broadcast_to(high, out.shape).copy())
         return out
+
+
+def script_blocks(monkeypatch, rng):
+    """Makes every block a stream places draw from ``rng``; returns the list
+    that records the ``(seed, block)`` of each _block_rng call."""
+    keys = []
+
+    def block_rng(seed, block):
+        keys.append((seed, block))
+        return rng
+
+    monkeypatch.setattr(simulator, "_block_rng", block_rng)
+    return keys
 
 
 def admissible(config, earlier):
@@ -647,7 +654,7 @@ class TestRankPlacement:
         assert len(rng.highs) == copies - 1
 
     @pytest.mark.parametrize("copies", [1, 2, 3])
-    def test_block_of_frames_makes_one_call_per_copy(self, copies):
+    def test_block_of_frames_makes_one_call_per_copy(self, copies, monkeypatch):
         # the K frames of a block share one placement: `copies` integers
         # calls for the block, and `copies` more at frame K, under key 1
         config = SystemConfig(copies=copies, **self.CONFIG)
@@ -656,16 +663,17 @@ class TestRankPlacement:
         first = np.arange(k * n_tx) % config.start_positions
         script = [first, *[np.zeros(k * n_tx)] * (copies - 1)]
         rng = ScriptedRng(*script, *script)
-        stream = simulator.FrameStream(rng)
+        keys = script_blocks(monkeypatch, rng)
+        stream = simulator.FrameStream()
         for f in range(k):
             frame = draw_frame(frame_rng(5, f, stream), n_tx, config)
             want = first[f * n_tx : (f + 1) * n_tx]
             assert np.array_equal(frame.starts[:, 0], want)
         assert [h.shape for h in rng.highs] == [(k * n_tx,)] * copies
-        assert rng.bit_generator.state["state"]["key"] == (0, 5)
+        assert keys == [(5, 0)]
         draw_frame(frame_rng(5, k, stream), n_tx, config)
         assert len(rng.highs) == 2 * copies
-        assert rng.bit_generator.state["state"]["key"] == (1, 5)
+        assert keys == [(5, 0), (5, 1)]
         assert rng.outputs == []
 
 
