@@ -27,7 +27,6 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from fractions import Fraction
-from functools import lru_cache
 from typing import Iterator, NamedTuple, Sequence
 
 import numpy as np
@@ -64,7 +63,7 @@ def _require_analytic(config: SystemConfig) -> None:
             f"frame_len ({config.frame_len}) must be >= 5*burst_len - 2 "
             f"({5 * config.burst_len - 2}) for the interference model"
         )
-    a, b = _event_space(config)
+    a, b, _ = _event_space(config.frame_len, config.burst_len)
     if a * b >= _EXACT_INT_LIMIT:
         raise ConfigError(
             f"frame_len ({config.frame_len}) gives {a * b} placements, beyond "
@@ -72,26 +71,25 @@ def _require_analytic(config: SystemConfig) -> None:
         )
 
 
-def _event_space(config: SystemConfig) -> tuple[int, int]:
-    a = config.start_positions
-    b = a - (2 * config.burst_len - 1)
-    return a, b
+def _event_space(frame_len: int, burst_len: int) -> tuple[int, int, int]:
+    """A admissible starts for a copy, B left for a disturber's second copy
+    once its first is placed, and C placements clear of the tagged copy by
+    at least one burst."""
+    a = frame_len - burst_len + 1
+    return a, a - (2 * burst_len - 1), a - (4 * burst_len - 1)
 
 
-@lru_cache(maxsize=128)
 def _numerators_by_first_event(frame_len: int, burst_len: int) -> np.ndarray:
     """Integer counts over the denominator A*B, split by first-copy event.
 
-    Returns a read-only int64 array of shape (4, burst_len + 1) whose rows
+    Returns an int64 array of shape (4, burst_len + 1) whose rows
     are the full, partial, distant and near-miss groups, indexed by the
     total overlap both copies together put on the tagged copy. Each row's
     total matches the closed-form first-copy event probabilities, and the
     column sums are the numerators _fold_kernel gives in closed form.
     """
     tau = burst_len
-    a = frame_len - tau + 1
-    b = a - (2 * tau - 1)
-    c = a - (4 * tau - 1)  # placements clear of the tagged copy by >= one burst
+    a, b, c = _event_space(frame_len, burst_len)
     x = np.arange(1, tau, dtype=np.int64)
 
     counts = np.zeros((4, tau + 1), dtype=np.int64)
@@ -119,8 +117,6 @@ def _numerators_by_first_event(frame_len: int, burst_len: int) -> np.ndarray:
     # leaves 2(a - (3 tau + z - 1)) places for the second copy.
     n_distant[0] = c * (a - 2 * (2 * tau - 1))
     n_near[0] = 2 * tau * (a - 3 * tau + 1) - tau * (tau - 1)
-
-    counts.setflags(write=False)
     return counts
 
 
@@ -142,9 +138,7 @@ def _fold_kernel(frame_len: int, burst_len: int) -> _FoldKernel:
     c(a - 4 tau + 2) plus the near misses summed over z < tau.
     """
     tau = burst_len
-    a = frame_len - tau + 1
-    b = a - (2 * tau - 1)
-    c = a - (4 * tau - 1)
+    a, b, c = _event_space(frame_len, burst_len)
     n0 = c * (a - 4 * tau + 2) + 2 * tau * (a - 3 * tau + 1) - tau * (tau - 1)
     c0 = 2 * b + 2 * c - 2 if tau > 1 else 0
     return _FoldKernel(n0, c0, b + c + 4 * tau - 2, a * b)
@@ -236,11 +230,11 @@ def first_copy_event_probabilities(config: SystemConfig) -> EventSplit:
     fractions over A; the four sum to 1 identically."""
     _require_analytic(config)
     tau = config.burst_len
-    a, _ = _event_space(config)
+    a, _, c = _event_space(config.frame_len, tau)
     return EventSplit(
         full_overlap=Fraction(1, a),
         partial_overlap=Fraction(2 * (tau - 1), a),
-        distant=Fraction(a - (4 * tau - 1), a),
+        distant=Fraction(c, a),
         near_miss=Fraction(2 * tau, a),
     )
 
@@ -254,7 +248,7 @@ def pmf_mass_by_first_event(config: SystemConfig) -> EventSplit:
     """
     _require_analytic(config)
     counts = _numerators_by_first_event(config.frame_len, config.burst_len)
-    a, b = _event_space(config)
+    a, b, _ = _event_space(config.frame_len, config.burst_len)
     return EventSplit(*(int(group.sum()) / (a * b) for group in counts))
 
 
@@ -274,9 +268,8 @@ def full_overlap_breakdown(config: SystemConfig) -> FullOverlapBreakdown:
     """
     _require_analytic(config)
     tau = config.burst_len
-    a, b = _event_space(config)
+    a, b, c = _event_space(config.frame_len, tau)
     den = a * b
-    c = a - (4 * tau - 1)
     return FullOverlapBreakdown(
         first_copy_full=b / den,
         second_copy_full=(c + 2 * tau) / den,
@@ -482,7 +475,9 @@ def interference_distribution(
 
 def p_copy_decoded(pmf: InterferencePmf, budget: DecodeBudget) -> float:
     """Probability one tagged copy decodes: overlap cdf at the budget,
-    exactly 1 for an untruncated pmf whose whole support the budget covers."""
+    exactly 1 when the budget covers the whole support, dp_count *
+    burst_len. A pmf truncated below the budget is refused first, so a
+    truncated pmf never reaches that rule."""
     if not budget.decodable:
         return 0.0
     x_dec = budget.max_interference
@@ -491,7 +486,7 @@ def p_copy_decoded(pmf: InterferencePmf, budget: DecodeBudget) -> float:
             f"pmf truncated at {pmf.truncated_at} cannot answer a cdf query "
             f"at {x_dec}"
         )
-    if pmf.truncated_at is None and x_dec + 1 >= pmf.support_len:
+    if pmf.dp_count * pmf.config.burst_len <= x_dec:
         # the whole support decodes; the summed pmf would be 1 +- a few ulp
         return 1.0
     return float(np.add.reduce(pmf.probs[:x_dec + 1]))
@@ -512,8 +507,9 @@ def n_tx_for_load(config: SystemConfig, load: float) -> int:
     """Transmitter count giving normalized load ``load``.
 
     Ties round half away from zero so the analytic and simulated paths agree
-    on the same packet count at every grid value. A load whose packet count
-    overflows a float is refused.
+    on the same packet count at every grid value. It is the one check of
+    the load domain: a load that is not finite and >= 0, or whose packet
+    count overflows a float, is refused.
     """
     if not (math.isfinite(load) and load >= 0.0):
         raise InvalidParameterError(f"load must be finite and >= 0, got {load}")
@@ -541,17 +537,21 @@ def analytic_curve(
 ) -> list[CurvePoint]:
     """Packet loss ratio and throughput at each load.
 
-    The disturber pmf is folded once up to the largest needed count and
-    sampled along the way, by the same fold as interference_distribution,
-    so every point equals the per-load fold exactly. Intermediates are
-    truncated at the decode budget, which the loss probability only ever
-    reads the cdf up to, so each disturber costs O(budget) and a row's sum
-    is its cdf at the budget; a count whose whole support the budget
-    covers decodes with probability exactly 1. A link that cannot decode
-    loses every copy and runs no fold. An empty frame loses nothing, so
-    n_tx = 0 reports plr 0 (and p_ccd 1 to keep the packet identity). A
-    load whose n_tx - 1 exceeds MAX_FOLD_STEPS raises WorkBoundError before
-    any step.
+    A disturber count n whose whole support the budget covers (n *
+    burst_len <= budget, zero disturbers included) decodes with
+    probability exactly 1 and is not folded. The other counts come from
+    one fold up to the largest of them, sampled along the way, by the same
+    fold as interference_distribution, so every point equals the per-load
+    fold exactly. Intermediates are truncated at the decode budget, which
+    the loss probability only ever reads the cdf up to, so each disturber
+    costs O(budget) and a row's sum is its cdf at the budget. A link that
+    cannot decode loses every copy and runs no fold. An empty frame loses
+    nothing, so n_tx = 0 reports plr 0 (and p_ccd 1 to keep the packet
+    identity).
+
+    Refusal order: the geometry (_require_analytic), then every load
+    through n_tx_for_load, then the largest load's n_tx - 1 against
+    MAX_FOLD_STEPS (WorkBoundError), all before any fold step.
     """
     _require_analytic(config)
     n_by_load = [n_tx_for_load(config, g) for g in loads]
@@ -562,14 +562,14 @@ def analytic_curve(
     budget = link.budget
     p_ccd_at = {}
     if budget.decodable:
-        p_ccd_at[0] = 1.0
+        x_dec = budget.max_interference
         needed = {n - 1 for n in n_by_load if n >= 1}
-        fold = _fold(config, max(needed, default=0), budget.max_interference)
+        p_ccd_at = {n: 1.0 for n in needed if n * config.burst_len <= x_dec}
+        folded = needed - p_ccd_at.keys()
+        fold = _fold(config, max(folded, default=0), x_dec)
         for n_dp, probs in enumerate(fold, start=1):
-            if n_dp in needed:
-                # n_dp * tau <= budget: every overlap decodes, exactly
-                full = n_dp * config.burst_len <= budget.max_interference
-                p_ccd_at[n_dp] = 1.0 if full else float(np.add.reduce(probs))
+            if n_dp in folded:
+                p_ccd_at[n_dp] = float(np.add.reduce(probs))
 
     points = []
     for g, n in zip(loads, n_by_load):

@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import operator
 from dataclasses import dataclass
 
 from .errors import ConfigError
@@ -11,6 +12,8 @@ from .errors import ConfigError
 class SystemConfig:
     """Discretized frame geometry. All lengths are in symbols; the physical
     symbol time never enters the math, so it is not part of the geometry.
+    Each field must be an integer, which is stored as the int it equals; a
+    float, bool or str is refused.
     """
 
     frame_len: int
@@ -18,6 +21,13 @@ class SystemConfig:
     copies: int = 2
 
     def __post_init__(self) -> None:
+        for name in ("frame_len", "burst_len", "copies"):
+            value = getattr(self, name)
+            # ints and numpy integers have __index__; floats and str do not,
+            # and a bool, which has, is not a symbol count
+            if isinstance(value, bool) or not hasattr(value, "__index__"):
+                raise ConfigError(f"{name} must be an int, got {value!r}")
+            object.__setattr__(self, name, operator.index(value))
         if self.burst_len < 1:
             raise ConfigError(f"burst_len must be >= 1, got {self.burst_len}")
         if self.copies < 1:

@@ -175,7 +175,11 @@ def _duration_to_symbols(text: str, ts_us: float, flag: str) -> int:
 
 
 def _parse_loads(value) -> tuple[float, ...]:
-    """Comma list, single value, or start:stop:step grid (stop inclusive)."""
+    """Comma list, single value, or start:stop:step grid (stop inclusive).
+
+    Only the form is checked here: a grid must be finite to be counted,
+    but each load's domain is ``analytic.n_tx_for_load``'s to refuse, after
+    the geometry and the link and before any work (see build_rows)."""
     if isinstance(value, (list, tuple)):
         parts, grid = value, False
     else:
@@ -204,11 +208,6 @@ def _parse_loads(value) -> tuple[float, ...]:
         raise UsageError("loads must not be empty")
     if len(items) > MAX_LOADS:
         raise UsageError(f"{len(items)} loads is over the bound of {MAX_LOADS}")
-    for g in items:
-        if not math.isfinite(g):
-            raise UsageError(f"loads must be finite, got {g}")
-        if g < 0:
-            raise UsageError(f"loads must be >= 0, got {g}")
     return tuple(items)
 
 
@@ -384,9 +383,11 @@ def build_rows(spec: RunSpec) -> tuple[list[dict], str | None]:
     the policy that was applied, if any.
 
     Refusal order: the argument checks (parse_spec's, then the geometry and
-    the link), then the pre-flight ``require_work_bounds`` for a simulating
-    mode, then work. The analytic fold refuses its own bound before its
-    first step, and the simulation follows it.
+    the link), then, for a simulating mode, the pre-flight
+    ``require_work_bounds``: the rounds, every load through
+    ``n_tx_for_load``, the frame bound. ``analytic_curve`` maps every load
+    through ``n_tx_for_load`` and checks its fold bound before its first
+    step, and the simulation follows it.
     """
     config = spec.system_config()
     link = spec.link_model()

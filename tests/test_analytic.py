@@ -5,6 +5,7 @@ for tiny geometries (frame 10, burst 1 or 2), where the full placement
 space is small enough to enumerate on a sheet of grid squares.
 """
 
+import dataclasses
 import hashlib
 import math
 from fractions import Fraction
@@ -710,10 +711,57 @@ class TestAnalyticCurve:
         for pt in analytic_curve(config, link, loads):
             assert (pt.p_ccd, pt.plr, pt.throughput) == (1.0, 0.0, pt.load)
 
+    def test_covered_counts_run_no_fold_step(self, monkeypatch):
+        # at -300 dB the budget covers every disturber count of the grid
+        def refuse(*args):
+            raise AssertionError("a covered count was folded")
+
+        monkeypatch.setattr(analytic, "_fold_step", refuse)
+        link = LinkModel.from_parameters(4, 0.5, 10.0, 500, -300.0)
+        loads = [round(0.1 * i, 10) for i in range(1, 16)]
+        for pt in analytic_curve(geometry(200000, 500), link, loads):
+            assert (pt.p_ccd, pt.plr) == (1.0, 0.0)
+
+    @pytest.mark.parametrize("frame_len, tau", [(60, 1), (60, 3), (80, 5), (200, 7)])
+    def test_covered_budget_boundary(self, frame_len, tau):
+        # budgets one below, at and one above the support n * tau
+        config = geometry(frame_len, tau)
+        base = LinkModel.from_parameters(4, 0.5, 10.0, tau)
+        for n_dp in (1, 2, 4):
+            load = (n_dp + 1) * tau / frame_len
+            assert n_tx_for_load(config, load) == n_dp + 1
+            full = interference_distribution(config, n_dp)
+            for x_dec in (n_dp * tau - 1, n_dp * tau, n_dp * tau + 1):
+                budget = DecodeBudget(x_dec)
+                link = dataclasses.replace(base, budget=budget)
+                (pt,) = analytic_curve(config, link, [load])
+                assert pt.p_ccd == p_copy_decoded(full, budget)
+                assert (pt.p_ccd == 1.0) == (n_dp * tau <= x_dec)
+
     def test_rejects_unsupported_geometry(self):
         link = LinkModel.from_parameters(4, 0.5, 10.0, 100)
         with pytest.raises(ConfigError):
             analytic_curve(geometry(400, 100), link, [0.5])
+
+
+class TestSystemConfigIntegers:
+    @pytest.mark.parametrize(
+        "args",
+        [(1000.5, 10), (1000, 10.0), ("1000", 10), (True, 1), (1000, 10, 2.0),
+         (1000, 10, False), (np.float64(1000), 10)],
+    )
+    def test_non_integer_lengths_rejected(self, args):
+        with pytest.raises(ConfigError, match="must be an int"):
+            SystemConfig(*args)
+
+    def test_numpy_integers_stored_as_int(self):
+        config = SystemConfig(np.int64(1000), np.int32(10), np.uint8(2))
+        assert config == SystemConfig(1000, 10)
+        assert all(type(v) is int for v in dataclasses.astuple(config))
+        link = LinkModel.from_parameters(4, 0.5, 10.0, 10)
+        assert analytic_curve(config, link, [0.5]) == analytic_curve(
+            SystemConfig(1000, 10), link, [0.5]
+        )
 
 
 class TestInterferencePmfValidation:

@@ -150,9 +150,14 @@ class TestParseSpec:
         spec = spec_of(["analytic", "--tf", "10000", "--tau", "100", "--loads", "0.7"])
         assert spec.loads == (0.7,)
 
-    def test_negative_load_rejected(self):
-        with pytest.raises(UsageError):
-            spec_of(["analytic", "--tf", "10000", "--tau", "100", "--loads", "-0.5"])
+    def test_negative_load_rejected(self, capsys):
+        # parse_spec reads the load's form; n_tx_for_load refuses its domain
+        argv = ["--tf", "10000", "--tau", "100", "--loads", "-0.5"]
+        assert spec_of(["analytic", *argv]).loads == (-0.5,)
+        for mode in ("analytic", "simulate", "compare"):
+            assert main([mode, *argv]) == EXIT_USAGE
+            err = capsys.readouterr().err
+            assert err == "divaloha: load must be finite and >= 0, got -0.5\n"
 
     def test_loads_required(self):
         with pytest.raises(UsageError):
