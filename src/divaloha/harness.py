@@ -1,6 +1,6 @@
 """Command-line front end.
 
-Four subcommands: ``analytic`` evaluates the closed-form curves, ``simulate``
+Four modes: ``analytic`` evaluates the closed-form curves, ``simulate``
 runs the Monte Carlo sweep, ``compare`` runs both and applies an agreement
 policy per load, ``threshold`` prints the link budget numbers. Results are
 emitted as CSV (fixed column set, byte-deterministic for a given spec) or
@@ -94,7 +94,7 @@ class UsageError(DivalohaError):
 
 class _Parser(argparse.ArgumentParser):
     """An ArgumentParser that raises UsageError where argparse would print
-    its usage block and exit; its subparsers are of this class too."""
+    its usage block and exit."""
 
     def error(self, message):
         raise UsageError(message)
@@ -213,42 +213,41 @@ def _parse_loads(value) -> tuple[float, ...]:
 
 @functools.cache
 def _build_parser() -> argparse.ArgumentParser:
-    """The CLI parser, built once per process: parse_args leaves it as it was."""
+    """The CLI parser, built once per process: parse_args leaves it as it was.
+
+    One parser for every mode: ``mode`` is a positional choice of _MODES,
+    and --config and every _OPTIONS entry are declared once beside it, so
+    ``--help`` prints one usage and an option may come before the mode."""
     parser = _Parser(
         prog="divaloha",
         description="Packet loss and throughput of two-copy asynchronous diversity Aloha",
     )
-    sub = parser.add_subparsers(dest="mode", required=True)
-    for mode in _MODES:
-        p = sub.add_parser(mode, help=f"{mode} run")
-        p.add_argument("--config", help="JSON file preloading any option below")
-        for dest, (default, text) in _OPTIONS.items():
-            if default is not None:
-                text = f"{text} (default {default})"
-            p.add_argument("--" + dest.replace("_", "-"), help=text)
+    parser.add_argument("mode", choices=_MODES, help="what to run")
+    parser.add_argument("--config", help="JSON file preloading any option below")
+    for dest, (default, text) in _OPTIONS.items():
+        if default is not None:
+            text = f"{text} (default {default})"
+        parser.add_argument("--" + dest.replace("_", "-"), help=text)
     return parser
 
 
-def _attach_number_values(argv: list[str]) -> list[str]:
-    """``argv`` with each number that follows a value flag written onto it
-    (``--snr-db -1e1`` as ``--snr-db=-1e1``). argparse takes only ``-10``
-    and ``-1.5`` spellings of a negative number as a value, and reads
-    ``-1e1`` or ``-inf`` as an unknown flag; every divaloha flag but
-    ``--help`` takes a value, so a token there that parses as a number
-    (``_number``'s rules) is that flag's value."""
+def _attach_dash_values(argv: list[str]) -> list[str]:
+    """``argv`` with each token that starts with a single ``-`` and follows
+    a value flag written onto that flag (``--loads -0.5,1`` as
+    ``--loads=-0.5,1``). argparse reads such a token as a flag unless it is
+    spelled like ``-10`` or ``-1.5``; every divaloha flag but ``--help``
+    (and its prefixes) takes a value, so the token there is that flag's
+    value, and the check that owns the flag judges it. A flag already
+    written ``--flag=value`` takes no further token, and a token that starts
+    with ``--`` is always a flag."""
     out = []
     for token in argv:
         flag = out[-1] if out else ""
         takes_value = not "--help".startswith(flag) and "=" not in flag
-        if flag.startswith("--") and takes_value and token.startswith("-"):
-            try:
-                _number(token, flag)
-            except UsageError:
-                pass
-            else:
-                out[-1] = f"{flag}={token}"
-                continue
-        out.append(token)
+        if flag.startswith("--") and takes_value and token[:1] == "-" and token[1:2] != "-":
+            out[-1] = f"{flag}={token}"
+        else:
+            out.append(token)
     return out
 
 
@@ -276,7 +275,7 @@ def parse_spec(argv) -> RunSpec:
     Precedence: command line, then config file, then built-in defaults.
     """
     argv = sys.argv[1:] if argv is None else argv
-    ns = _build_parser().parse_args(_attach_number_values(argv))
+    ns = _build_parser().parse_args(_attach_dash_values(argv))
     from_file = _load_config_file(ns.config) if ns.config else {}
 
     def pick(dest: str):

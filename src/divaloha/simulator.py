@@ -106,11 +106,12 @@ class FrameStream:
         The first frame asked of a block places the whole block, one
         ``integers`` call per copy, and sweeps it (see
         per_copy_interference); later frames of the same block are views of
-        its rows. A block that holds a dead end raises
-        PlacementImpossibleError, and one that a sort key cannot hold
-        raises ConfigError, at the first frame asked of it; either way the
-        stream keeps the block it held before. A seed or block index
-        outside 0..2**64-1 raises InvalidParameterError.
+        its rows. A seed or block index outside 0..2**64-1 raises
+        InvalidParameterError, and a block that the sweep's sort keys cannot
+        hold raises ConfigError (see _key_bits), both before the block is
+        keyed or drawn; a block that holds a dead end raises
+        PlacementImpossibleError while it is placed. Either way the stream
+        keeps the block it held before.
         """
         f = self.frame_index
         key = (self.seed, n_tx, config)
@@ -130,6 +131,7 @@ class FrameStream:
                 raise InvalidParameterError(
                     f"frame {f} is in block {block}, outside 0..2**64-1"
                 )
+            _key_bits(k * n_tx * config.copies, k, config)
             starts = _place(_block_rng(self.seed, block), k * n_tx, config)
             overlap = _sweep(starts, k, config)
             starts.flags.writeable = False
@@ -231,9 +233,10 @@ def draw_frame(stream: FrameStream, n_tx: int, config: SystemConfig) -> Frame:
     earlier copies, frame edges included (see ``_place``). Drawing the first
     frame of a block keys a fresh Philox generator for the block, then
     places and sweeps the whole block, so the frame comes with read-only
-    views of its starts and its overlap under ``config``. A block that
-    holds a dead end raises PlacementImpossibleError, and one too long for
-    a sort key raises ConfigError, at the first frame drawn from it.
+    views of its starts and its overlap under ``config``. A block too long
+    for the sweep's sort keys raises ConfigError before it is keyed or
+    drawn, and one that holds a dead end raises PlacementImpossibleError,
+    at the first frame drawn from it.
 
     ``stream`` is duck-typed: this calls ``stream.starts(n_tx, config)``
     once and then reads ``stream.overlap`` from the object it was given, so
@@ -253,15 +256,13 @@ def _place(rng: np.random.Generator, n_tx: int, config: SystemConfig) -> np.ndar
     ever rejected; a first copy that leaves a later one no room at all
     raises PlacementImpossibleError.
 
-    Each earlier copy blocks at most ``2*tau - 1`` starts, so c earlier
-    copies leave at least ``positions - c*(2*tau - 1)`` free. The room
-    check therefore runs only where that bound reaches zero, which no
-    geometry of the paper does.
+    No size is a special case: an empty frame gives empty arrays, the
+    merge of blocked runs is empty for a single earlier copy, and the room
+    check is one ``all`` per copy. A single earlier copy skips the sort,
+    being sorted already.
     """
     tau = config.burst_len
     starts = np.empty((n_tx, config.copies), dtype=np.int64)
-    if n_tx == 0:
-        return starts
     positions = config.start_positions
     first = rng.integers(0, positions, size=n_tx)
     starts[:, 0] = first
@@ -273,14 +274,13 @@ def _place(rng: np.random.Generator, n_tx: int, config: SystemConfig) -> np.ndar
         np.maximum(lo, 0, out=lo)
         hi = prev + tau
         np.minimum(hi, positions, out=hi)
-        if c > 1:
-            np.maximum(lo[:, 1:], hi[:, :-1], out=lo[:, 1:])
+        np.maximum(lo[:, 1:], hi[:, :-1], out=lo[:, 1:])
         width = hi - lo
         # column by column: a row sum over so few columns costs more
         free = positions - width[:, 0]
         for j in range(1, c):
             free -= width[:, j]
-        if positions <= c * (2 * tau - 1) and not free.all():
+        if not free.all():
             raise PlacementImpossibleError(
                 f"a packet's first {c} copies leave copy {c + 1} of "
                 f"{config.copies} no room: bursts of {tau} symbols in a "
@@ -345,7 +345,7 @@ def per_copy_interference(frame: Frame, config: SystemConfig) -> np.ndarray:
     k >= lo[j]``.
 
     A block whose largest shifted start a key cannot hold raises
-    ConfigError (see _sweep); no block of the stream rule with
+    ConfigError (see _key_bits); no block of the stream rule with
     ``frame_len + tau <= 2**37`` does.
     """
     swept = frame.config
@@ -367,7 +367,10 @@ def _sweep(starts: np.ndarray, frames: int, config: SystemConfig) -> np.ndarray:
     have is the last start of its last frame,
     ``top = frames * (frame_len + tau) - 2 * tau``, which also bounds every
     frame offset; the merge tags keys down to ``-(tau - 1)``. Where either
-    would not fit, ConfigError is raised before anything is allocated. A
+    would not fit, _key_bits raises ConfigError before anything is
+    allocated. FrameStream.starts asks it before it draws a block, so
+    for a stream's block the call here only gives the bits, and a
+    hand-built frame is refused here. A
     block of the stream rule holds K frames of at most BLOCK_COPIES copies
     between them (13 index bits, top below K * 2**37 <= 2**50), or one
     frame of at most MAX_FRAME_COPIES (20 bits, top below 2**37 < 2**43), so
@@ -381,15 +384,7 @@ def _sweep(starts: np.ndarray, frames: int, config: SystemConfig) -> np.ndarray:
     """
     tau = config.burst_len
     n = starts.size
-    bits = max(1, (n - 1).bit_length())
-    top = frames * (config.frame_len + tau) - 2 * tau
-    if max(top, tau - 1) >> (63 - bits):
-        raise ConfigError(
-            f"cannot sweep {frames} frames of {config.frame_len} symbols with "
-            f"{tau}-symbol bursts: a sort key over {n} copies holds starts and "
-            f"burst lengths below 2**{63 - bits}, and their last shifted start is "
-            f"{top}; frame_len + burst_len up to 2**37 always fits"
-        )
+    bits = _key_bits(n, frames, config)
     offset = np.arange(frames, dtype=np.int64)
     offset *= config.frame_len + tau
     shifted = (starts.reshape(frames, n // frames) + offset[:, None]).reshape(-1)
@@ -433,6 +428,24 @@ def _sweep(starts: np.ndarray, frames: int, config: SystemConfig) -> np.ndarray:
     a += b
     s[order] = a
     return s.reshape(starts.shape)
+
+
+def _key_bits(n: int, frames: int, config: SystemConfig) -> int:
+    """The index bits of _sweep's sort keys over ``n`` copies in ``frames``
+    frames under ``config``, or ConfigError where those keys cannot hold
+    the block's shifted starts (see _sweep). It reads only the sizes, so
+    FrameStream.starts asks it before a block is keyed or drawn."""
+    tau = config.burst_len
+    bits = max(1, (n - 1).bit_length())
+    top = frames * (config.frame_len + tau) - 2 * tau
+    if max(top, tau - 1) >> (63 - bits):
+        raise ConfigError(
+            f"cannot sweep {frames} frames of {config.frame_len} symbols with "
+            f"{tau}-symbol bursts: a sort key over {n} copies holds starts and "
+            f"burst lengths below 2**{63 - bits}, and their last shifted start is "
+            f"{top}; frame_len + burst_len up to 2**37 always fits"
+        )
+    return bits
 
 
 def per_copy_interference_brute(frame: Frame, config: SystemConfig) -> np.ndarray:

@@ -408,6 +408,36 @@ class TestMain:
         assert "snr_linear must be finite and > 0" in err and err.count("\n") == 1
 
     @pytest.mark.parametrize(
+        "argv, want",
+        [
+            (["analytic", "--loads", "-0.5,1"], "load must be finite and >= 0, got -0.5"),
+            (["compare", "--loads", "-1:1:0.5"], "load must be finite and >= 0, got -1.0"),
+            (["analytic", "--loads", "0.5", "--policy", "-x"],
+             "--policy must be one of ('tight', 'lower-bound'), got '-x'"),
+            # a token led by -- is a flag, never a value
+            (["threshold", "--snr-db", "--tau", "5"], "argument --snr-db: expected one argument"),
+        ],
+        ids=["load-list", "load-grid", "policy", "flag-after-flag"],
+    )
+    def test_dash_led_token_after_a_flag_is_its_value(self, argv, want, capsys):
+        assert main([*argv, "--tf", "10000", "--tau", "100"]) == EXIT_USAGE
+        assert capsys.readouterr() == ("", f"divaloha: {want}\n")
+
+    def test_dash_led_out_path_is_written(self, tmp_path, monkeypatch, capsys):
+        monkeypatch.setenv(OUT_DIR_ENV, str(tmp_path))
+        argv = ["analytic", "--tf", "10000", "--tau", "100", "--loads", "0.5"]
+        assert main([*argv, "--out", "-x.csv"]) == EXIT_OK
+        assert main(argv) == EXIT_OK
+        assert (tmp_path / "-x.csv").read_text() == capsys.readouterr().out
+
+    def test_option_may_come_before_the_mode(self, capsys):
+        argv = ["--tf", "10000", "--tau", "100", "--loads", "0.5"]
+        assert main(["analytic", *argv]) == EXIT_OK
+        want = capsys.readouterr().out
+        assert main([*argv[:2], "analytic", *argv[2:]]) == EXIT_OK
+        assert capsys.readouterr().out == want
+
+    @pytest.mark.parametrize(
         "loads", ["nan", "inf", "-inf", "0.5,nan", "0:inf:0.1", "nan:1:0.1", "1e400"]
     )
     def test_non_finite_loads_exit_usage(self, loads, capsys):
@@ -607,6 +637,15 @@ def test_module_refuses_bad_input_in_one_line(argv):
     assert len(lines) == 1 and lines[0].startswith("divaloha: ")
 
 
+def test_module_help_lists_the_modes_and_options_in_one_usage():
+    out = run_module("--help")
+    assert out.returncode == EXIT_OK, out.stderr
+    assert out.stdout.count("usage:") == 1
+    assert "{analytic,simulate,compare,threshold}" in out.stdout
+    for flag in ("--config", *("--" + dest.replace("_", "-") for dest in harness._OPTIONS)):
+        assert flag in out.stdout
+
+
 def test_module_help_lists_policies_and_formats():
     out = run_module("analytic", "--help")
     assert out.returncode == EXIT_OK, out.stderr
@@ -627,7 +666,7 @@ class TestDeterminism:
 
 
 # every flag that takes a number, fed from one pool of valid and broken values
-_POOL = ["nan", "inf", "-inf", "1e400", "-1", "0", "abc", "1.5us"]
+_POOL = ["nan", "inf", "-inf", "1e400", "-1", "0", "abc", "1.5us", "-x"]
 _CONTRACT_FLAGS = {
     "tf": _POOL + ["500", "1000", "2000us"],
     "tau": _POOL + ["1", "5", "100"],
@@ -642,9 +681,12 @@ _CONTRACT_FLAGS = {
 
 # --loads values: valid lists and grids, and grids that must exit 2 (not a
 # number, an overflowing count, more than MAX_LOADS points, a load whose
-# packet count overflows a float)
+# packet count overflows a float, a load below 0)
 _GOOD_LOADS = ["0.5", "0.2,0.9", "0:1:0.5", "1.4"]
-_BAD_GRIDS = ["nan:1:0.5", "0:1:0", "1:0:0.5", "0:1e308:1e-308", "0:1:1e-5", "1e308"]
+_BAD_GRIDS = [
+    "nan:1:0.5", "0:1:0", "1:0:0.5", "0:1e308:1e-308", "0:1:1e-5", "1e308",
+    "-0.5,1", "-1:1:0.5",
+]
 
 # --config files, written once per module: a valid file, one whose loads are
 # a list, one whose loads are an overflowing grid, one that is not JSON, one
@@ -682,8 +724,10 @@ def contract_configs(tmp_path_factory):
 
 @st.composite
 def contract_argv(draw):
-    """(mode, argv, name of the --config file or None, whether the input
-    must be refused)."""
+    """(mode, argv, the same argv with each drawn flag spelled either
+    ``--flag=value`` or ``--flag value``, name of the --config file or None,
+    whether the input must be refused). argv spells every flag
+    ``--flag=value``."""
     mode = draw(st.sampled_from(["threshold", "analytic", "simulate", "compare"]))
     flags = draw(
         st.dictionaries(
@@ -692,21 +736,26 @@ def contract_argv(draw):
             max_size=len(_CONTRACT_FLAGS),
         )
     )
-    argv = [mode]
+    argv, spelled = [mode], [mode]
+
+    def add(flag, value):
+        argv.append(f"--{flag}={value}")
+        spelled.extend([f"--{flag}", value] if draw(st.booleans()) else argv[-1:])
+
     for flag in sorted(flags):
-        argv.append(f"--{flag}={draw(st.sampled_from(_CONTRACT_FLAGS[flag]))}")
+        add(flag, draw(st.sampled_from(_CONTRACT_FLAGS[flag])))
     if "tau" not in flags:
-        argv.append("--tau=5")
+        add("tau", "5")
     if "tf" not in flags:
-        argv.append("--tf=1000")
+        add("tf", "1000")
     # without --loads, the loads come from the config file, if any
     loads = draw(st.sampled_from([None, *_GOOD_LOADS, *_BAD_GRIDS]))
     if loads is not None:
-        argv.append(f"--loads={loads}")
+        add("loads", loads)
     rounds = None
     if mode in ("simulate", "compare"):
         rounds = draw(st.sampled_from(["1", "3", _OVER_BOUND_ROUNDS]))
-        argv.append(f"--rounds={rounds}")
+        add("rounds", rounds)
     config = draw(st.sampled_from([None, *_CONFIG_FILES]))
     bad_grid = loads in _BAD_GRIDS or (loads is None and config == "bad_grid")
     refused = (
@@ -719,23 +768,25 @@ def contract_argv(draw):
     )
     extra = draw(st.sampled_from([None, "no mode", *_REFUSED_FLAGS, *over_bound]))
     if extra == "no mode":
-        argv = argv[1:]
+        argv, spelled = argv[1:], spelled[1:]
     elif extra is not None:
         # last, so that its --tf, --tau and --loads win over the drawn ones
         argv += extra
-    return mode, argv, config, refused or extra is not None
+        spelled += extra
+    return mode, argv, spelled, config, refused or extra is not None
 
 
 class TestCliContract:
     @settings(max_examples=300, deadline=None)
     @given(case=contract_argv())
     def test_every_outcome_is_ok_or_one_line_error(self, case, contract_configs):
-        mode, argv, config, refused = case
+        mode, argv, spelled, config, refused = case
         if config is not None:
             argv = [*argv, f"--config={contract_configs[config]}"]
-        out, err = io.StringIO(), io.StringIO()
-        with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
-            code = main(argv)
+            spelled = [*spelled, "--config", str(contract_configs[config])]
+        code, out, err = self.run_main(argv)
+        # the token after a flag is its value: both spellings run alike
+        assert self.run_main(spelled) == (code, out, err)
         # no input in the pool is a fault: every one runs or is refused
         assert code in (EXIT_OK, EXIT_COMPARE_FAILED, EXIT_USAGE)
         # exit 1 is compare's verdict and nothing else
@@ -745,13 +796,21 @@ class TestCliContract:
         # a bad flag, a missing mode and an over-bound run are bad input
         if refused:
             assert code == EXIT_USAGE
-        assert "Traceback" not in out.getvalue() + err.getvalue()
+        assert "Traceback" not in out + err
         if code in (EXIT_OK, EXIT_COMPARE_FAILED):
-            assert err.getvalue() == ""
+            assert err == ""
         else:
-            assert out.getvalue() == ""
-            lines = err.getvalue().splitlines()
+            assert out == ""
+            lines = err.splitlines()
             assert len(lines) == 1 and lines[0].startswith("divaloha: ")
+
+    @staticmethod
+    def run_main(argv):
+        """main's exit code, stdout and stderr for ``argv``."""
+        out, err = io.StringIO(), io.StringIO()
+        with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+            code = main(argv)
+        return code, out.getvalue(), err.getvalue()
 
     # one malformed value for every input the number parser serves
     @pytest.mark.parametrize(

@@ -318,8 +318,9 @@ class TestStreamHits:
     @pytest.mark.parametrize("failure", [PlacementImpossibleError, ConfigError])
     def test_failed_block_leaves_the_held_block(self, failure, monkeypatch):
         # a block that cannot be placed (a first copy leaves its second no
-        # room) or swept (too long for a sort key) is not kept: a frame of
-        # the block held before it is still a hit, with the same arrays
+        # room) or swept (too long for a sort key, refused before it is
+        # keyed or placed) is not kept: a frame of the block held before it
+        # is still a hit, with the same arrays
         config = SystemConfig(frame_len=25, burst_len=10)
         n = block_size(3, 2) * 3
         # first copies at 0 block starts 0..9 of 16, so the second has room
@@ -338,16 +339,17 @@ class TestStreamHits:
         if failure is PlacementImpossibleError:
             rng.outputs.append(np.full(n, 7))  # blocks all 16 starts
             f, asked = block_size(3, 2), config  # the next block
+            refused = [(5, 1)]  # keyed and placed, then refused
         else:
-            rng.outputs += [np.zeros(n), np.zeros(n)]
             tau = 10**15
             f, asked = 1, SystemConfig(frame_len=1000 * tau, burst_len=tau)
+            refused = []
         with pytest.raises(failure):
             draw_frame(frame_rng(5, f, stream), 3, asked)
-        assert len(placed) == 1
+        assert len(placed) == len(refused)
         again = draw_frame(frame_rng(5, 1, stream), 3, config)
-        assert len(placed) == 1
-        assert keys == [(5, 0), (5, f // block_size(3, 2))]
+        assert len(placed) == len(refused)
+        assert keys == [(5, 0), *refused]
         assert np.array_equal(again.starts, held.starts)
         assert np.array_equal(again.overlap, held.overlap)
 
@@ -879,6 +881,23 @@ class TestBlockOverlap:
         got = per_copy_interference(alone, config)
         assert np.array_equal(got, per_copy_interference_brute(alone, config))
         assert got.tolist() == [[tau // 2, 0], [tau // 2, 1], [1, 0]]
+
+    def test_block_past_int64_is_refused_before_it_is_drawn(self, monkeypatch, capsys):
+        # 40 frames of 10**19 symbols: the first starts would pass int64
+        # (numpy refuses the draw's bound), so the key-width check comes
+        # first; a call of either spy would exit 3
+        def drawn(*args):
+            raise AssertionError("refused block drawn")
+
+        monkeypatch.setattr(simulator, "_block_rng", drawn)
+        monkeypatch.setattr(simulator, "_place", drawn)
+        argv = ["simulate", "--tf", "1e19", "--tau", "100", "--loads", "1e-15",
+                "--rounds", "1"]
+        assert main(argv) == EXIT_USAGE
+        out, err = capsys.readouterr()
+        assert out == ""
+        assert err.startswith("divaloha: cannot sweep 40 frames of 10000000000000000000 ")
+        assert err.count("\n") == 1
 
 
 @st.composite
