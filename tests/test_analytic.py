@@ -488,11 +488,32 @@ GOLDEN_FOLD_PROBS = [
         (2000, 50, 40, None),
         "1f352d80c1417c71503d2755c8683baf8373984caab4ef7f7420fc270919febd",
     ),
+    # truncated over three block rows (budget 231, rows of tau - 1 = 99)
+    (
+        (10000, 100, 149, 231),
+        "9a3b6a7140b47193310755976d616604ed59844c2aace01926fb4068c4310218",
+    ),
+    # truncated at tau - 1: the last entry opens a second block row
+    (
+        (2000, 50, 40, 49),
+        "71c152aa3fbfbfb63850e242828f04c108e88b928ea4cb829687da255f86a902",
+    ),
+    # truncated at tau - 2: the widest fold that fits one block row
+    (
+        (2000, 50, 40, 48),
+        "7017fc0199441b18d432f0947d0a8e7e4fdd7c87ac4af4ff9bdc501fd539f0cd",
+    ),
+    # tau 2 at budget 1: block rows of width 1
+    (
+        (1000000, 2, 4096, 1),
+        "923731f3b25ebc5d5ef999f6650d72f8de2426c1cbc62c2e7ea9b95e5da86de4",
+    ),
 ]
 
 
 @pytest.mark.parametrize(
-    "case,digest", GOLDEN_FOLD_PROBS, ids=["one-row", "multi-row"]
+    "case,digest", GOLDEN_FOLD_PROBS,
+    ids=["one-row", "multi-row", "three-rows", "trunc-w", "trunc-w-1", "tau-2"],
 )
 def test_fold_probs_golden_bytes(case, digest):
     frame_len, tau, n_dp, trunc = case
