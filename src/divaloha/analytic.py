@@ -323,117 +323,91 @@ def convolve(
     )
 
 
-def _fold_step(
-    acc: np.ndarray, kernel: _FoldKernel, tau: int, out_len: int
-) -> np.ndarray:
-    """First ``out_len`` entries of ``acc`` convolved with the single-disturber
-    pmf, in O(out_len + tau), for a step whose output spans more than one
-    block row (``out_len > tau - 1``).
-
-    out[k] = (n0 acc[k] + n_tau acc[k-tau] + c0 W0[k] + 6 R[k]) / den, with
-    W0[k] = sum acc[k-x] and R[k] = sum x acc[k-x] over x = 1..tau-1. Both
-    window sums come from cumsums inside blocks of width w = tau - 1
-    aligned at index 0 (van Herk / Gil-Werman): a window is a suffix of one
-    block plus a prefix of the next. Every term is nonnegative and nothing
-    is subtracted, so tails far below the head keep their relative
-    accuracy; each entry reads only acc[k-tau..k] in a fixed order, so a
-    truncated fold is a bitwise prefix of the full one. The numerator is
-    built in count space and divided once, so folding into the delta
-    reproduces the single-disturber pmf exactly.
-
-    Every untruncated step and every step of a fold truncated at tau - 1
-    or above spans two rows or more. Folds truncated below tau - 1 never
-    call it: _fold runs those as one loop.
-    """
-    n0, c0, n_tau, den = kernel
-    m = acc.shape[0]
-    num = np.zeros(out_len)
-    num[:m] = n0 * acc
-    if out_len > tau:
-        num[tau:] += n_tau * acc[: out_len - tau]
-    w = tau - 1
-    if w:
-        # Row q holds acc[qw .. qw+w-1] behind a zero column. With
-        # B = k // w and j = k % w, window k is row B up to column j
-        # (x runs j + 1 - column) and, for B >= 1, row B - 1 from column
-        # j + 1 on (x runs w + 1 - column + j).
-        rows = (out_len - 1) // w + 1
-        flat = np.zeros(rows * w)
-        flat[:m] = acc
-        blocks = np.zeros((rows, w + 1))
-        blocks[:, 1:] = flat.reshape(rows, w)
-        # np.add.accumulate: np.cumsum's loop, same bits, one dispatch less
-        pre = np.add.accumulate(blocks, axis=1)  # columns <= c
-        # columns <= c, times c + 1 - column
-        pre_x = np.add.accumulate(pre, axis=1)
-        head = blocks[:-1, ::-1]  # reversed, so column w - h is at h
-        suf = np.add.accumulate(head, axis=1)[:, -2::-1]  # columns > c
-        # columns > c, times w + 1 - column
-        suf_x = np.add.accumulate(head * np.arange(1, w + 2), axis=1)[:, -2::-1]
-        w0 = pre[:, :w].copy()
-        w0[1:] += suf
-        r = pre_x[:, :w].copy()
-        r[1:] += suf_x + np.arange(w) * suf
-        num += (c0 * w0 + 6 * r).ravel()[:out_len]
-    return num / den
-
-
 def _fold(
     config: SystemConfig, n_dp: int, trunc_len: int | None
 ) -> Iterator[np.ndarray]:
     """The disturber fold: yields the probs for 1..n_dp disturbers, each
-    truncated at ``trunc_len`` when it is set. Every yielded array is
-    fresh; the fold never writes into one it has yielded.
+    truncated at ``trunc_len`` when it is set, at O(support + tau) per
+    disturber. Every yielded array is fresh; the fold never writes into
+    one it has yielded.
 
-    A fold truncated below tau - 1 (every benchmark geometry: budget 450
-    at tau 500, 900 at tau 1000) runs as one loop. Each of its steps has
-    trunc_len + 1 entries, so all windows lie in the one block row that
-    starts at index 0: W0 and R are the shifted prefix sums ``pre`` and
-    ``pre_x``, and n_tau never reaches the output. ``acc`` is kept
-    zero-padded to that length from the delta on, the prefix sums and one
-    product term reuse their buffers across steps, and each call goes
-    straight to a ufunc, so a step costs eight ufunc calls and one
+    A step is out[k] = (c0 W0[k] + 6 R[k] + n0 acc[k] + n_tau acc[k-tau])
+    / den, with W0[k] = sum acc[k-x] and R[k] = sum x acc[k-x] over x =
+    1..tau-1. ``acc`` is held zero-padded in block rows of w = tau - 1
+    entries aligned at index 0. Window k = Bw + j is row B up to column j,
+    read off the prefix sums ``pre`` and ``pre_x``, plus from row 1 on the
+    suffix of row B - 1 from column j (van Herk / Gil-Werman). The suffix
+    term runs only when a step spans more than one row (and tau > 1), the
+    n_tau term only when the support passes tau. A fold that never leaves
+    row 0 (truncated below tau - 1: every benchmark geometry) is one row
+    of its own length, trunc_len + 1. The buffers are rebuilt only while
+    the support grows, the first ceil(top / tau) steps, and each call goes
+    straight to a ufunc, so a one-row step costs eight ufunc calls and one
     allocation, the array it yields: 7-11 us at 451 entries on a 2-core
-    x86 host. The sum is ``(c0 pre + 6 pre_x) + n0 acc`` with one
-    division, the terms and order of _fold_step's sum, and the padding
-    adds exact zeros, so every entry equals the matching entry of an
-    untruncated fold bit for bit. Every other fold calls _fold_step once
-    per disturber.
+    x86 host. A step over several rows adds seven calls for the suffix
+    term and two for the n_tau term.
+
+    Bits: the numerator is summed in count space as (c0 W0 + 6 R) + (n0
+    acc + n_tau acc[k-tau]) and divided once, so folding into the delta
+    gives the single-disturber pmf correctly rounded. Every term is
+    nonnegative and nothing is subtracted, so tails far below the head
+    keep their relative accuracy. Each entry reads only acc[k-tau..k], in
+    an order fixed by k and tau, and the padding adds exact zeros, so a
+    truncated fold is a bitwise prefix of the untruncated one.
     """
     _require_analytic(config)
     tau = config.burst_len
-    kernel = _fold_kernel(config.frame_len, tau)
-    if trunc_len is not None and trunc_len <= tau - 2:
-        # exact as floats (below 2**53); numpy would convert them per call
-        n0, c0, den = float(kernel.n0), float(kernel.c0), float(kernel.den)
-        size = trunc_len + 1
-        acc = np.zeros(size)
-        acc[0] = 1.0
-        # sums[k] = sum acc[:k]; sums[0] stays 0 and pre drops the full sum
-        sums = np.zeros(size + 1)
-        pre, sums_tail = sums[:-1], sums[1:]
-        pre_x = np.empty(size)
-        term = np.empty(size)
-        # ufuncs called directly: the cumsum method and the in-place
-        # operators run the same loops behind one more Python-level dispatch
-        accumulate, add, multiply, divide = (
-            np.add.accumulate, np.add, np.multiply, np.divide
-        )
-        for _ in range(n_dp):
-            accumulate(acc, out=sums_tail)
-            accumulate(pre, out=pre_x)
-            out = multiply(pre, c0)
-            add(out, multiply(pre_x, 6.0, out=term), out=out)
-            add(out, multiply(acc, n0, out=term), out=out)
-            divide(out, den, out=out)
-            acc = out
-            yield out
-        return
-    acc = np.ones(1)
-    for n in range(1, n_dp + 1):
-        limit = n * tau if trunc_len is None else min(n * tau, trunc_len)
-        acc = _fold_step(acc, kernel, tau, limit + 1)
-        yield acc
+    w = tau - 1
+    # exact as floats (below 2**53); numpy would convert them per call
+    n0, c0, n_tau, den = map(float, _fold_kernel(config.frame_len, tau))
+    top = n_dp * tau if trunc_len is None else trunc_len
+    # j and w - c by column, for the suffix part of R
+    x_at, x_up = np.arange(float(w)), np.arange(1.0, tau)
+    # ufuncs called directly: the cumsum method and the in-place operators
+    # run the same loops behind one more Python-level dispatch
+    accumulate, add, multiply, divide = np.add.accumulate, np.add, np.multiply, np.divide
+    # the support grows, and acc is laid out again, in the first steps only
+    grows, size, flat = max(1, -(-top // tau)), 1, np.ones(1)
+    for n in range(n_dp):
+        if n < grows:
+            size = min(size + tau, top + 1)
+            width = size if size <= w else max(w, 1)
+            rows = -(-size // width)
+            shape = (rows, width) if rows > 1 else (size,)
+            flat = np.concatenate((flat, np.zeros(rows * width - flat.shape[0])))
+            acc = flat.reshape(shape)
+            # sums[..., c] = sum of a row's columns < c; column 0 stays 0
+            sums = np.zeros((*shape[:-1], width + 1))
+            pre, tail = sums[..., :-1], sums[..., 1:]
+            pre_x, term, w0 = np.empty(shape), np.empty(shape), pre
+            shift = term.reshape(-1)[tau:size]
+            split = rows > 1 and w > 0
+            if split:  # suffix sums of the row before, reversed; row 0 has none
+                w0, suf, suf_x = np.empty(shape), np.zeros(shape), np.zeros(shape)
+        accumulate(acc, axis=-1, out=tail)
+        accumulate(pre, axis=-1, out=pre_x)
+        if split:
+            # column c of row B - 1 is x = (w - c) + j back from k = Bw + j
+            head = acc[:-1, ::-1]
+            accumulate(head, axis=-1, out=suf[1:])
+            accumulate(multiply(head, x_up, out=term[1:]), axis=-1, out=suf_x[1:])
+            suf_f = suf[:, ::-1]
+            add(suf_x[:, ::-1], multiply(suf_f, x_at, out=term), out=term)
+            add(pre_x, term, out=pre_x)
+            add(pre, suf_f, out=w0)
+        out = multiply(w0, c0)
+        add(out, multiply(pre_x, 6.0, out=term), out=out)
+        multiply(acc, n0, out=term)
+        if size > tau:
+            add(shift, multiply(flat[: size - tau], n_tau), out=shift)
+        add(out, term, out=out)
+        divide(out, den, out=out)
+        acc = flat = out
+        if rows > 1:
+            flat = out.reshape(-1)
+            flat[size:] = 0.0
+            out = flat[:size]
+        yield out
 
 
 def _require_fold_bound(n_dp: int) -> None:

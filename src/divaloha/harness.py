@@ -142,16 +142,24 @@ def _number(value, flag: str, kind=float, minimum=None, given=None):
     """``value`` (a flag's text or a config file's value) as ``kind``, int
     or float, at least ``minimum`` if one is given. A value that is not one
     is refused quoting ``given``, the text as the user gave it (default
-    ``value``). So is a config file's JSON boolean, and a float that is not
-    whole for an int, which ``kind`` would take but the same text as a flag
-    would not be; a whole float such as ``1e4`` is the int it equals."""
-    fraction = kind is int and isinstance(value, float) and not value.is_integer()
+    ``value``). So is a config file's JSON boolean. An int takes an int, or
+    a float that is whole, such as ``1e4``, as the int it equals; a flag's
+    text is read as JSON reads that number, an int literal or else a float,
+    so ``--rounds 1e2`` and ``{"rounds": 1e2}`` agree, and a fraction, an
+    infinity or a NaN is refused from either."""
+    shown = value if given is None else given
     try:
-        if isinstance(value, bool) or fraction:
+        if isinstance(value, bool):
+            raise ValueError(value)
+        if kind is int and isinstance(value, str):
+            try:
+                value = int(value)
+            except ValueError:
+                value = float(value)
+        if kind is int and isinstance(value, float) and not value.is_integer():
             raise ValueError(value)
         out = kind(value)
     except (TypeError, ValueError, OverflowError):
-        shown = value if given is None else given
         raise UsageError(f"cannot parse {flag} value {shown!r}") from None
     if minimum is not None and out < minimum:
         raise UsageError(f"{flag} must be >= {minimum}, got {out}")

@@ -422,7 +422,7 @@ class TestFoldBlockEdges:
 
 
 def test_one_row_fold_matches_step_fold_and_oracle():
-    # trunc 40 < tau - 1 = 49: the fold runs as one loop, never _fold_step
+    # trunc 40 < tau - 1 = 49: every step stays in block row 0
     config = geometry(2000, 50)
     trunc, n_dp = 40, 60
     looped = list(_fold(config, n_dp, trunc))
@@ -734,14 +734,20 @@ class TestAnalyticCurve:
 
     def test_covered_counts_run_no_fold_step(self, monkeypatch):
         # at -300 dB the budget covers every disturber count of the grid
-        def refuse(*args):
-            raise AssertionError("a covered count was folded")
+        steps = []
+        fold = analytic._fold
 
-        monkeypatch.setattr(analytic, "_fold_step", refuse)
+        def counted(*args):
+            for probs in fold(*args):
+                steps.append(probs)
+                yield probs
+
+        monkeypatch.setattr(analytic, "_fold", counted)
         link = LinkModel.from_parameters(4, 0.5, 10.0, 500, -300.0)
         loads = [round(0.1 * i, 10) for i in range(1, 16)]
         for pt in analytic_curve(geometry(200000, 500), link, loads):
             assert (pt.p_ccd, pt.plr) == (1.0, 0.0)
+        assert steps == []
 
     @pytest.mark.parametrize("frame_len, tau", [(60, 1), (60, 3), (80, 5), (200, 7)])
     def test_covered_budget_boundary(self, frame_len, tau):

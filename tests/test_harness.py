@@ -867,6 +867,22 @@ class TestCliContract:
         assert (spec.rounds, spec.seed) == (10000, 7)
         assert type(spec.rounds) is int and type(spec.seed) is int
 
+    @pytest.mark.parametrize(
+        "flag, whole, text", [("--rounds", "100", "1e2"), ("--seed", "100", "100.0")]
+    )
+    def test_whole_float_flag_is_the_int_it_equals(self, flag, whole, text):
+        # the flag's text is read as JSON reads the number in a config file
+        argv = ["simulate", "--tf", "1000", "--tau", "10", "--loads", "0.5"]
+        want = self.run_main([*argv, flag, whole])
+        assert want[0] == EXIT_OK
+        assert self.run_main([*argv, flag, text]) == want
+
+    @pytest.mark.parametrize("value", ["1e-3", "inf", "nan", "1e100000000"])
+    @pytest.mark.parametrize("flag", ["--rounds", "--seed"])
+    def test_int_flag_refuses_floats_that_are_not_whole(self, flag, value):
+        argv = ["simulate", "--tf", "1000", "--tau", "10", "--loads", "0.5"]
+        self.assert_refused([*argv, flag, value], f"{flag} value {value!r}")
+
     @staticmethod
     def assert_refused(argv, what):
         out, err = io.StringIO(), io.StringIO()
