@@ -341,11 +341,12 @@ def _fold(
     n_tau term only when the support passes tau. A fold that never leaves
     row 0 (truncated below tau - 1: every benchmark geometry) is one row
     of its own length, trunc_len + 1. The buffers are rebuilt only while
-    the support grows, the first ceil(top / tau) steps, and each call goes
-    straight to a ufunc, so a one-row step costs eight ufunc calls and one
-    allocation, the array it yields: 7-11 us at 451 entries on a 2-core
-    x86 host. A step over several rows adds seven calls for the suffix
-    term and two for the n_tau term.
+    the support grows, the first ceil(top / tau) steps (top is trunc_len,
+    or n_dp * tau untruncated), and each call goes straight to a ufunc,
+    so a one-row step costs eight ufunc calls and one allocation, the
+    array it yields: 7-11 us at 451 entries on a 2-core x86 host. A step
+    over several rows adds seven calls for the suffix term, two for the
+    n_tau term and the zeroing of its padding.
 
     Bits: the numerator is summed in count space as (c0 W0 + 6 R) + (n0
     acc + n_tau acc[k-tau]) and divided once, so folding into the delta
@@ -363,8 +364,9 @@ def _fold(
     top = n_dp * tau if trunc_len is None else trunc_len
     # j and w - c by column, for the suffix part of R
     x_at, x_up = np.arange(float(w)), np.arange(1.0, tau)
-    # ufuncs called directly: the cumsum method and the in-place operators
-    # run the same loops behind one more Python-level dispatch
+    # ufuncs called directly, ``out`` by position: the cumsum method, the
+    # in-place operators and the keyword run the same loops behind more
+    # Python-level work
     accumulate, add, multiply, divide = np.add.accumulate, np.add, np.multiply, np.divide
     # the support grows, and acc is laid out again, in the first steps only
     grows, size, flat = max(1, -(-top // tau)), 1, np.ones(1)
@@ -381,27 +383,29 @@ def _fold(
             pre, tail = sums[..., :-1], sums[..., 1:]
             pre_x, term, w0 = np.empty(shape), np.empty(shape), pre
             shift = term.reshape(-1)[tau:size]
-            split = rows > 1 and w > 0
-            if split:  # suffix sums of the row before, reversed; row 0 has none
+            if rows > 1 and w:
+                # suffix sums of the row before, reversed; row 0 has none
                 w0, suf, suf_x = np.empty(shape), np.zeros(shape), np.zeros(shape)
-        accumulate(acc, axis=-1, out=tail)
-        accumulate(pre, axis=-1, out=pre_x)
-        if split:
-            # column c of row B - 1 is x = (w - c) + j back from k = Bw + j
-            head = acc[:-1, ::-1]
-            accumulate(head, axis=-1, out=suf[1:])
-            accumulate(multiply(head, x_up, out=term[1:]), axis=-1, out=suf_x[1:])
-            suf_f = suf[:, ::-1]
-            add(suf_x[:, ::-1], multiply(suf_f, x_at, out=term), out=term)
-            add(pre_x, term, out=pre_x)
-            add(pre, suf_f, out=w0)
+        accumulate(acc, -1, None, tail)
+        accumulate(pre, -1, None, pre_x)
+        multiply(acc, n0, term)
+        if rows > 1:
+            if size > tau:
+                add(shift, multiply(flat[: size - tau], n_tau), shift)
+            if w:
+                # column c of row B - 1 is x = (w - c) + j back from k = Bw
+                # + j; w0 is scratch until it takes W0
+                head = acc[:-1, ::-1]
+                accumulate(head, -1, None, suf[1:])
+                accumulate(multiply(head, x_up, w0[1:]), -1, None, suf_x[1:])
+                suf_f = suf[:, ::-1]
+                add(suf_x[:, ::-1], multiply(suf_f, x_at, w0), w0)
+                add(pre_x, w0, pre_x)
+                add(pre, suf_f, w0)
         out = multiply(w0, c0)
-        add(out, multiply(pre_x, 6.0, out=term), out=out)
-        multiply(acc, n0, out=term)
-        if size > tau:
-            add(shift, multiply(flat[: size - tau], n_tau), out=shift)
-        add(out, term, out=out)
-        divide(out, den, out=out)
+        add(out, multiply(pre_x, 6.0, pre_x), out)
+        add(out, term, out)
+        divide(out, den, out)
         acc = flat = out
         if rows > 1:
             flat = out.reshape(-1)
