@@ -369,7 +369,8 @@ def _fold(
     # Python-level work
     accumulate, add, multiply, divide = np.add.accumulate, np.add, np.multiply, np.divide
     # the support grows, and acc is laid out again, in the first steps only
-    grows, size, flat = max(1, -(-top // tau)), 1, np.ones(1)
+    grows = max(1, -(-top // tau))
+    size, flat = 1, np.ones(1)
     for n in range(n_dp):
         if n < grows:
             size = min(size + tau, top + 1)
