@@ -820,6 +820,9 @@ class TestCliContract:
             ("--snr-db", "x"), ("--snir-dec-db", "x"), ("--rounds", "1.5"),
             ("--seed", "x"), ("--workers", "x"), ("--copies", "x"), ("--mod", "x"),
             ("--loads", "0.1:x:0.1"), ("--loads", "0.1,x"),
+            # an int flag's float text that is not whole: 1e100000000 is inf
+            ("--rounds", "1e-3"), ("--rounds", "inf"), ("--seed", "nan"),
+            ("--seed", "1e100000000"),
         ],
     )
     def test_malformed_number_is_refused_in_one_line(self, flag, value):
@@ -876,12 +879,6 @@ class TestCliContract:
         want = self.run_main([*argv, flag, whole])
         assert want[0] == EXIT_OK
         assert self.run_main([*argv, flag, text]) == want
-
-    @pytest.mark.parametrize("value", ["1e-3", "inf", "nan", "1e100000000"])
-    @pytest.mark.parametrize("flag", ["--rounds", "--seed"])
-    def test_int_flag_refuses_floats_that_are_not_whole(self, flag, value):
-        argv = ["simulate", "--tf", "1000", "--tau", "10", "--loads", "0.5"]
-        self.assert_refused([*argv, flag, value], f"{flag} value {value!r}")
 
     @staticmethod
     def assert_refused(argv, what):
