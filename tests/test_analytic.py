@@ -551,6 +551,45 @@ class TestReadOnlyProbs:
         assert pmf.probs.tolist() == [0.25, 0.75]
 
 
+# (pmf builder at frame 500, burst 5, truncation it must carry); tau - 2 = 3
+_LIBRARY_PMFS = {
+    "delta": (delta_pmf, None),
+    "single": (single_dp_pmf, None),
+    "fold-none": (lambda c: interference_distribution(c, 3), None),
+    "fold-0": (lambda c: interference_distribution(c, 3, trunc_len=0), 0),
+    "fold-tau-2": (lambda c: interference_distribution(c, 3, trunc_len=3), 3),
+    "fold-tau-1": (lambda c: interference_distribution(c, 3, trunc_len=4), 4),
+    "fold-full": (lambda c: interference_distribution(c, 3, trunc_len=15), None),
+    "fold-past": (lambda c: interference_distribution(c, 3, trunc_len=40), None),
+    "conv-cap-a": (
+        lambda c: convolve(interference_distribution(c, 2, 3), single_dp_pmf(c)),
+        3,
+    ),
+    "conv-cap-b": (
+        lambda c: convolve(single_dp_pmf(c), interference_distribution(c, 2, 6)),
+        6,
+    ),
+    "conv-cap-trunc": (
+        lambda c: convolve(single_dp_pmf(c), single_dp_pmf(c), trunc_len=4),
+        4,
+    ),
+    "conv-past": (
+        lambda c: convolve(single_dp_pmf(c), single_dp_pmf(c), trunc_len=12),
+        None,
+    ),
+}
+
+
+@pytest.mark.parametrize("case", sorted(_LIBRARY_PMFS))
+def test_library_pmf_truncation_is_its_length(case):
+    build, expected = _LIBRARY_PMFS[case]
+    config = geometry(500, 5)
+    pmf = build(config)
+    full = pmf.dp_count * config.burst_len + 1
+    assert pmf.truncated_at == expected
+    assert pmf.truncated_at == (None if pmf.support_len == full else pmf.support_len - 1)
+
+
 class TestInterferenceDistribution:
     def test_zero_disturbers_is_delta(self):
         config = geometry(64, 3)
