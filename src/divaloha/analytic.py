@@ -149,16 +149,17 @@ class InterferencePmf:
     """Pmf of the aggregate overlap (symbols) a tagged copy suffers.
 
     ``dp_count`` is how many independent disturbers the pmf accounts for,
-    so full support is 0..dp_count*burst_len. When ``truncated_at`` is set,
-    ``probs`` holds only indices 0..truncated_at and the upper tail is
-    dropped; every retained entry still equals its untruncated value.
-    ``probs`` is a read-only copy of the array it was built from.
+    so full support is 0..dp_count*burst_len. The truncation is the
+    length: ``probs`` with fewer than dp_count*burst_len + 1 entries holds
+    only indices 0..truncated_at and the upper tail is dropped; every
+    retained entry still equals its untruncated value, and the retained
+    mass is at most 1. ``probs`` is a read-only copy of the array it was
+    built from.
     """
 
     config: SystemConfig
     dp_count: int
     probs: np.ndarray
-    truncated_at: int | None = None
 
     def __post_init__(self) -> None:
         probs = np.array(self.probs, dtype=float)
@@ -173,33 +174,28 @@ class InterferencePmf:
             raise InvalidParameterError("pmf entries must be finite")
         if (probs < 0.0).any():
             raise InvalidParameterError("pmf entries must be nonnegative")
-        full_support = self.dp_count * self.config.burst_len
-        if self.truncated_at is None:
-            if probs.shape[0] != full_support + 1:
-                raise InvalidParameterError(
-                    f"untruncated pmf needs {full_support + 1} entries, "
-                    f"got {probs.shape[0]}"
-                )
-            total = float(np.add.reduce(probs))
-            if abs(total - 1.0) > _SUM_TOL:
-                raise InvalidParameterError(f"pmf sums to {total}, expected 1")
-        else:
-            if not 0 <= self.truncated_at < full_support:
-                raise InvalidParameterError(
-                    f"truncated_at must be in [0, {full_support}), "
-                    f"got {self.truncated_at}"
-                )
-            if probs.shape[0] != self.truncated_at + 1:
-                raise InvalidParameterError(
-                    f"truncated pmf needs {self.truncated_at + 1} entries, "
-                    f"got {probs.shape[0]}"
-                )
-            if float(np.add.reduce(probs)) > 1.0 + _SUM_TOL:
-                raise InvalidParameterError("truncated pmf mass exceeds 1")
+        full_len = self.dp_count * self.config.burst_len + 1
+        if not 1 <= probs.shape[0] <= full_len:
+            raise InvalidParameterError(
+                f"pmf needs 1 to {full_len} entries, got {probs.shape[0]}"
+            )
+        total = float(np.add.reduce(probs))
+        low = 1.0 - _SUM_TOL if self.truncated_at is None else 0.0
+        if not low <= total <= 1.0 + _SUM_TOL:
+            raise InvalidParameterError(
+                f"pmf of {probs.shape[0]} entries sums to {total}, expected "
+                f"{'1' if low else 'at most 1'}"
+            )
 
     @property
     def support_len(self) -> int:
         return self.probs.shape[0]
+
+    @property
+    def truncated_at(self) -> int | None:
+        """The last overlap ``probs`` holds, or None when it holds them all."""
+        top = self.probs.shape[0] - 1
+        return None if top == self.dp_count * self.config.burst_len else top
 
 
 def delta_pmf(config: SystemConfig) -> InterferencePmf:
@@ -300,27 +296,23 @@ def convolve(
 ) -> InterferencePmf:
     """Pmf of the summed overlap from the disturbers of ``a`` and ``b``.
 
-    ``trunc_len`` caps the result support at that overlap value. A prefix of
-    a convolution depends only on the operand prefixes, so every retained
-    entry equals the untruncated value exactly; mass above the cap is
-    dropped, not redistributed. It costs one numpy call per support entry
+    ``trunc_len`` caps the result support at that overlap value, and so does
+    each operand's own truncation; the result holds entries up to the
+    lowest cap, so its length is its truncation. A prefix of a convolution
+    depends only on the operand prefixes, so every retained entry equals
+    the untruncated value exactly; mass above the cap is dropped, not
+    redistributed. It costs one numpy call per support entry
     of ``b``, so pass the shorter pmf (typically ``single_dp_pmf``) second.
     """
     if a.config != b.config:
         raise ConfigError("cannot convolve pmfs built for different configs")
     if trunc_len is not None and trunc_len < 0:
         raise InvalidParameterError(f"trunc_len must be >= 0, got {trunc_len}")
-    config = a.config
     dp_count = a.dp_count + b.dp_count
-    full_support = dp_count * config.burst_len
-    limit = full_support
-    for cap in (a.truncated_at, b.truncated_at, trunc_len):
-        if cap is not None and cap < limit:
-            limit = cap
+    caps = (dp_count * a.config.burst_len, a.truncated_at, b.truncated_at, trunc_len)
+    limit = min(cap for cap in caps if cap is not None)
     out = _conv_prefix(a.probs, b.probs, limit + 1)
-    return InterferencePmf(
-        config, dp_count, out, None if limit == full_support else limit
-    )
+    return InterferencePmf(a.config, dp_count, out)
 
 
 def _fold(
@@ -433,7 +425,9 @@ def interference_distribution(
     so each step needs only two sliding window sums. With ``trunc_len`` set,
     every intermediate is truncated as well, so the cost per disturber is
     O(trunc_len) however large n_dp * burst_len grows; every retained entry
-    equals its untruncated value bit for bit. More than MAX_FOLD_STEPS
+    equals its untruncated value bit for bit. The result holds
+    min(trunc_len, n_dp * burst_len) + 1 entries, so a trunc_len at or past
+    the full support gives the untruncated pmf. More than MAX_FOLD_STEPS
     disturbers raise WorkBoundError before the first step.
     """
     if n_dp < 0:
@@ -445,11 +439,7 @@ def interference_distribution(
         return delta_pmf(config)
     for probs in _fold(config, n_dp, trunc_len):
         pass
-    limit = probs.shape[0] - 1
-    full_support = n_dp * config.burst_len
-    return InterferencePmf(
-        config, n_dp, probs, None if limit == full_support else limit
-    )
+    return InterferencePmf(config, n_dp, probs)
 
 
 def p_copy_decoded(pmf: InterferencePmf, budget: DecodeBudget) -> float:

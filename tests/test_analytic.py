@@ -256,7 +256,7 @@ class TestConvolve:
         a = interference_distribution(config, k)
         full = convolve(a, single)
         t = min(int(t_frac * k * config.burst_len), k * config.burst_len - 1)
-        a_t = InterferencePmf(config, k, a.probs[: t + 1], truncated_at=t)
+        a_t = InterferencePmf(config, k, a.probs[: t + 1])
         trunc = int(trunc_frac * (k + 1) * config.burst_len)
         for got in (convolve(a_t, single, trunc), convolve(a, single, trunc)):
             keep = got.probs.shape[0]
@@ -832,8 +832,15 @@ class TestSystemConfigIntegers:
 
 class TestInterferencePmfValidation:
     def test_untruncated_length_must_match_support(self):
-        with pytest.raises(InvalidParameterError):
-            InterferencePmf(geometry(64, 3), 1, np.array([0.5, 0.5]))
+        # 1 to dp_count * burst_len + 1 entries: none, or more than the
+        # full support holds, is refused
+        config = geometry(64, 3)
+        with pytest.raises(InvalidParameterError, match="got 0"):
+            InterferencePmf(config, 1, np.array([]))
+        with pytest.raises(InvalidParameterError, match="got 5"):
+            InterferencePmf(config, 1, np.array([1.0, 0.0, 0.0, 0.0, 0.0]))
+        with pytest.raises(InvalidParameterError, match="got 2"):
+            InterferencePmf(config, 0, np.array([1.0, 0.0]))
 
     def test_untruncated_mass_must_be_one(self):
         with pytest.raises(InvalidParameterError):
@@ -844,16 +851,24 @@ class TestInterferencePmfValidation:
             InterferencePmf(geometry(64, 3), 1, np.array([1.1, 0.0, 0.0, -0.1]))
 
     def test_truncation_bounds(self):
-        with pytest.raises(InvalidParameterError):
-            InterferencePmf(geometry(64, 3), 1, np.ones(4) / 4.0, truncated_at=3)
+        # the truncation is the length: a full-length pmf is untruncated,
+        # a shorter one is truncated at its last entry and may hold less
+        # than unit mass, but never more
+        config = geometry(64, 3)
+        assert InterferencePmf(config, 1, np.ones(4) / 4.0).truncated_at is None
+        assert InterferencePmf(config, 2, np.ones(7) / 7.0).truncated_at is None
+        assert InterferencePmf(config, 1, np.array([0.5, 0.25])).truncated_at == 1
+        assert InterferencePmf(config, 2, np.array([0.0])).truncated_at == 0
+        with pytest.raises(InvalidParameterError, match="at most 1"):
+            InterferencePmf(config, 2, np.array([0.75, 0.5]))
 
     @pytest.mark.parametrize(
-        "dp_count, probs, truncated_at",
-        [(0, [np.nan], None), (1, [0.5, np.nan, 0.1], 2)],
+        "dp_count, probs",
+        [(0, [np.nan]), (1, [0.5, np.nan, 0.1])],
         ids=["untruncated", "truncated"],
     )
-    def test_non_finite_mass_rejected(self, dp_count, probs, truncated_at):
+    def test_non_finite_mass_rejected(self, dp_count, probs):
         # NaN compares False against every bound, so only a finiteness check
         # keeps it out of p_copy_decoded
         with pytest.raises(InvalidParameterError):
-            InterferencePmf(SystemConfig(1000, 10), dp_count, probs, truncated_at)
+            InterferencePmf(SystemConfig(1000, 10), dp_count, probs)
