@@ -37,6 +37,7 @@ from .errors import (
     InsufficientSupportError,
     InvalidParameterError,
     WorkBoundError,
+    short_int,
 )
 from .link import DecodeBudget, LinkModel
 
@@ -56,18 +57,19 @@ def _require_analytic(config: SystemConfig) -> None:
     denominator A*B exact in a float."""
     if config.copies != 2:
         raise ConfigError(
-            f"interference model is defined for 2 copies per packet, got {config.copies}"
+            "interference model is defined for 2 copies per packet, got "
+            f"{short_int(config.copies)}"
         )
     if config.frame_len < 5 * config.burst_len - 2:
         raise ConfigError(
-            f"frame_len ({config.frame_len}) must be >= 5*burst_len - 2 "
-            f"({5 * config.burst_len - 2}) for the interference model"
+            f"frame_len ({short_int(config.frame_len)}) must be >= 5*burst_len "
+            f"- 2 ({short_int(5 * config.burst_len - 2)}) for the interference model"
         )
     a, b, _ = _event_space(config.frame_len, config.burst_len)
     if a * b >= _EXACT_INT_LIMIT:
         raise ConfigError(
-            f"frame_len ({config.frame_len}) gives {a * b} placements, beyond "
-            f"the 2**53 the interference model counts exactly"
+            f"frame_len ({short_int(config.frame_len)}) gives {short_int(a * b)} "
+            "placements, beyond the 2**53 the interference model counts exactly"
         )
 
 
@@ -410,8 +412,8 @@ def _fold(
 def _require_fold_bound(n_dp: int) -> None:
     if n_dp > MAX_FOLD_STEPS:
         raise WorkBoundError(
-            f"{n_dp} disturbers need {n_dp} fold steps, over the bound of "
-            f"{MAX_FOLD_STEPS} fold steps"
+            f"{short_int(n_dp)} disturbers need {short_int(n_dp)} fold steps, "
+            f"over the bound of {MAX_FOLD_STEPS} fold steps"
         )
 
 

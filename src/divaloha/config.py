@@ -5,7 +5,7 @@ from __future__ import annotations
 import operator
 from dataclasses import dataclass
 
-from .errors import ConfigError
+from .errors import ConfigError, short_int
 
 
 @dataclass(frozen=True)
@@ -29,13 +29,15 @@ class SystemConfig:
                 raise ConfigError(f"{name} must be an int, got {value!r}")
             object.__setattr__(self, name, operator.index(value))
         if self.burst_len < 1:
-            raise ConfigError(f"burst_len must be >= 1, got {self.burst_len}")
+            raise ConfigError(
+                f"burst_len must be >= 1, got {short_int(self.burst_len)}"
+            )
         if self.copies < 1:
-            raise ConfigError(f"copies must be >= 1, got {self.copies}")
+            raise ConfigError(f"copies must be >= 1, got {short_int(self.copies)}")
         if self.frame_len < self.copies * self.burst_len:
             raise ConfigError(
-                f"{self.copies} copies of {self.burst_len} symbols cannot fit "
-                f"in a {self.frame_len}-symbol frame"
+                f"{short_int(self.copies)} copies of {short_int(self.burst_len)} "
+                f"symbols cannot fit in a {short_int(self.frame_len)}-symbol frame"
             )
 
     @property

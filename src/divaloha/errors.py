@@ -1,4 +1,15 @@
-"""Exception types shared across the package."""
+"""Exception types shared across the package, and how their messages show
+an int."""
+
+
+def short_int(n: int) -> str:
+    """``n`` as a refusal message shows it: exactly up to 15 digits, and
+    past that as its leading digits and magnitude (``1.00000e+300``), so a
+    huge parsed value cannot stretch a one-line message."""
+    digits = str(abs(n))
+    if len(digits) <= 15:
+        return str(n)
+    return f"{'-' if n < 0 else ''}{digits[0]}.{digits[1:6]}e+{len(digits) - 1}"
 
 
 class DivalohaError(Exception):

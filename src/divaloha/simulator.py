@@ -20,6 +20,7 @@ from .errors import (
     InvalidParameterError,
     PlacementImpossibleError,
     WorkBoundError,
+    short_int,
 )
 from .link import DecodeBudget, LinkModel
 
@@ -568,15 +569,16 @@ def require_work_bounds(config: SystemConfig, loads, rounds: int) -> list[int]:
     ``estimate_point`` and the command line call it before any work."""
     if rounds > MAX_ROUNDS:
         raise WorkBoundError(
-            f"{rounds} rounds is over the bound of {MAX_ROUNDS} simulated "
-            "frames per load"
+            f"{short_int(rounds)} rounds is over the bound of {MAX_ROUNDS} "
+            "simulated frames per load"
         )
     n_by_load = [n_tx_for_load(config, g) for g in loads]
     for g, n_tx in zip(loads, n_by_load):
         if n_tx * config.copies > MAX_FRAME_COPIES:
             raise WorkBoundError(
-                f"load {g} puts {n_tx} packets of {config.copies} copies in a "
-                f"frame, over the bound of {MAX_FRAME_COPIES} copies per frame"
+                f"load {g} puts {short_int(n_tx)} packets of {config.copies} "
+                f"copies in a frame, over the bound of {MAX_FRAME_COPIES} copies "
+                "per frame"
             )
     return n_by_load
 

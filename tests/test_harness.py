@@ -15,6 +15,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from divaloha import harness
+from divaloha.errors import short_int
 from divaloha.harness import (
     CSV_COLUMNS,
     EXIT_COMPARE_FAILED,
@@ -880,6 +881,45 @@ class TestCliContract:
         assert want[0] == EXIT_OK
         assert self.run_main([*argv, flag, text]) == want
 
+    # (argv, the words that name the bound); each value parses to an int
+    # of some 300 digits, which the refusal shows in short
+    OVER_BOUND = {
+        "rounds": (
+            "simulate --tf 1000 --tau 10 --loads 0.5 --rounds 1e300",
+            "over the bound of 1048576 simulated frames",
+        ),
+        "copies": (
+            "simulate --tf 1000 --tau 10 --loads 0.5 --copies 1e300",
+            "cannot fit in a 1000-symbol frame",
+        ),
+        "tau": (
+            "simulate --tf 1000 --tau 1e300 --loads 0.5",
+            "cannot fit in a 1000-symbol frame",
+        ),
+        "frame-copies": (
+            "simulate --tf 1e300 --tau 10 --loads 0.5 --rounds 1",
+            "over the bound of 1048576 copies per frame",
+        ),
+        "placements": (
+            "analytic --tf 1e300 --tau 10 --loads 0.5",
+            "beyond the 2**53",
+        ),
+        "fold-steps": (
+            "analytic --tf 1000 --tau 10 --loads 1e300",
+            "over the bound of 65536 fold steps",
+        ),
+    }
+
+    @pytest.mark.parametrize("case", sorted(OVER_BOUND))
+    def test_over_bound_refusal_is_one_short_line(self, case):
+        argv, bound = self.OVER_BOUND[case]
+        code, out, err = self.run_main(argv.split())
+        assert (code, out) == (EXIT_USAGE, "")
+        lines = err.splitlines()
+        assert len(lines) == 1 and lines[0].startswith("divaloha: ")
+        assert len(lines[0]) <= 200 and bound in lines[0]
+        assert "e+" in lines[0]
+
     @staticmethod
     def assert_refused(argv, what):
         out, err = io.StringIO(), io.StringIO()
@@ -888,3 +928,43 @@ class TestCliContract:
         assert code == EXIT_USAGE
         assert out.getvalue() == ""
         assert err.getvalue() == f"divaloha: cannot parse {what}\n"
+
+
+@pytest.mark.parametrize(
+    "n, shown",
+    [
+        (0, "0"),
+        (-7, "-7"),
+        (10**15 - 1, "999999999999999"),
+        (10**15, "1.00000e+15"),
+        (-1234567890123456789, "-1.23456e+18"),
+        (int(1e300), "1.00000e+300"),
+    ],
+)
+def test_short_int_is_exact_up_to_fifteen_digits(n, shown):
+    assert short_int(n) == shown
+
+
+FAILING_GIVEN = """
+from hypothesis import given, strategies as st
+
+
+@given(st.integers())
+def test_negative(x):
+    assert x < 0
+"""
+
+
+def test_failing_given_test_reports_its_example(tmp_path):
+    # under this project's warning filters, a failing @given test ends
+    # pytest with exit 1 and its falsifying example, not an INTERNALERROR
+    (tmp_path / "test_failing.py").write_text(FAILING_GIVEN)
+    pyproject = os.path.join(os.path.dirname(os.path.dirname(__file__)), "pyproject.toml")
+    run = subprocess.run(
+        [sys.executable, "-m", "pytest", "-q", "-p", "no:cacheprovider",
+         "-c", pyproject, "--rootdir", str(tmp_path), str(tmp_path)],
+        cwd=tmp_path, capture_output=True, text=True, timeout=120,
+    )
+    assert run.returncode == 1, run.stdout + run.stderr
+    assert "Falsifying example" in run.stdout
+    assert "INTERNALERROR" not in run.stdout + run.stderr
