@@ -303,8 +303,8 @@ def convolve(
     lowest cap, so its length is its truncation. A prefix of a convolution
     depends only on the operand prefixes, so every retained entry equals
     the untruncated value exactly; mass above the cap is dropped, not
-    redistributed. It costs one numpy call per support entry
-    of ``b``, so pass the shorter pmf (typically ``single_dp_pmf``) second.
+    redistributed. It costs one numpy call per support entry of ``b``, so
+    pass the shorter pmf (typically ``single_dp_pmf``) second.
     """
     if a.config != b.config:
         raise ConfigError("cannot convolve pmfs built for different configs")

@@ -576,9 +576,9 @@ def require_work_bounds(config: SystemConfig, loads, rounds: int) -> list[int]:
     for g, n_tx in zip(loads, n_by_load):
         if n_tx * config.copies > MAX_FRAME_COPIES:
             raise WorkBoundError(
-                f"load {g} puts {short_int(n_tx)} packets of {config.copies} "
-                f"copies in a frame, over the bound of {MAX_FRAME_COPIES} copies "
-                "per frame"
+                f"load {g} puts {short_int(n_tx)} packets of "
+                f"{short_int(config.copies)} copies in a frame, over the bound of "
+                f"{MAX_FRAME_COPIES} copies per frame"
             )
     return n_by_load
 
