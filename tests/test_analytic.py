@@ -483,6 +483,11 @@ GOLDEN_FOLD_PROBS = [
         (200000, 500, 599, 450),
         "4a5a3a223322aaed33c7f84d378a14fd6684e376e876e81a06724ae7763e961b",
     ),
+    # compare-r100's fold: one block row per step (budget 900 < tau - 1)
+    (
+        (100000, 1000, 149, 900),
+        "4c706ed6ccb4bae27ed73d32a824db8f912c0d49d6ba8880d63acc38ff4460d5",
+    ),
     # untruncated: every step past the first spans many block rows
     (
         (2000, 50, 40, None),
@@ -513,7 +518,10 @@ GOLDEN_FOLD_PROBS = [
 
 @pytest.mark.parametrize(
     "case,digest", GOLDEN_FOLD_PROBS,
-    ids=["one-row", "multi-row", "three-rows", "trunc-w", "trunc-w-1", "tau-2"],
+    ids=[
+        "one-row", "one-row-r100", "multi-row", "three-rows", "trunc-w", "trunc-w-1",
+        "tau-2",
+    ],
 )
 def test_fold_probs_golden_bytes(case, digest):
     frame_len, tau, n_dp, trunc = case
