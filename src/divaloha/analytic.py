@@ -353,8 +353,10 @@ def _fold(
     _require_analytic(config)
     tau = config.burst_len
     w = tau - 1
-    # exact as floats (below 2**53); numpy would convert them per call
-    n0, c0, n_tau, den = map(float, _fold_kernel(config.frame_len, tau))
+    # 0-d float64 arrays, exact below 2**53: numpy takes such an operand as
+    # it is, but converts a Python float on every ufunc call
+    kernel = (*_fold_kernel(config.frame_len, tau), 6)
+    n0, c0, n_tau, den, six = (np.array(float(v)) for v in kernel)
     top = n_dp * tau if trunc_len is None else trunc_len
     # j and w - c by column, for the suffix part of R
     x_at, x_up = np.arange(float(w)), np.arange(1.0, tau)
@@ -398,7 +400,7 @@ def _fold(
                 add(pre_x, w0, pre_x)
                 add(pre, suf_f, w0)
         out = multiply(w0, c0)
-        add(out, multiply(pre_x, 6.0, pre_x), out)
+        add(out, multiply(pre_x, six, pre_x), out)
         add(out, term, out)
         divide(out, den, out)
         acc = flat = out

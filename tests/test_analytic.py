@@ -125,6 +125,19 @@ class TestSingleDpPmf:
             single_dp_pmf(geometry(10**8, 10))
         single_dp_pmf(geometry(9 * 10**7, 10))
 
+    @pytest.mark.parametrize("tau", [2, 10, 500])
+    def test_fold_kernel_is_exact_at_the_largest_accepted_frame(self, tau):
+        # the largest A with A*B = A(A - (2tau - 1)) below 2**53
+        d = 2 * tau - 1
+        a = (d + math.isqrt(d * d + 4 * (2**53 - 1))) // 2
+        assert a * (a - d) < 2**53 <= (a + 1) * (a + 1 - d)
+        frame_len = a + tau - 1
+        single_dp_pmf(geometry(frame_len, tau))
+        kernel = analytic._fold_kernel(frame_len, tau)
+        assert all(int(float(v)) == v for v in kernel)
+        with pytest.raises(ConfigError):
+            single_dp_pmf(geometry(frame_len + 1, tau))
+
     def test_cached_array_is_read_only(self):
         pmf = single_dp_pmf(geometry(500, 5))
         with pytest.raises(ValueError):
