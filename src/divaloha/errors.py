@@ -1,5 +1,5 @@
 """Exception types shared across the package, and how their messages show
-an int."""
+an int or a long piece of text."""
 
 
 def short_int(n: int) -> str:
@@ -10,6 +10,16 @@ def short_int(n: int) -> str:
     if len(digits) <= 15:
         return str(n)
     return f"{'-' if n < 0 else ''}{digits[0]}.{digits[1:6]}e+{len(digits) - 1}"
+
+
+def short_text(token: str) -> str:
+    """``token``, one whitespace-free word of a refusal message, as the
+    message shows it: whole up to 100 characters, and past that as its
+    first 40 and last 12 characters around its length, so a long value
+    the user gave cannot stretch a one-line message."""
+    if len(token) <= 100:
+        return token
+    return f"{token[:40]}...({len(token)} characters)...{token[-12:]}"
 
 
 class DivalohaError(Exception):

@@ -28,7 +28,7 @@ import numpy as np
 from . import __version__
 from .analytic import analytic_curve
 from .config import SystemConfig
-from .errors import DivalohaError
+from .errors import DivalohaError, short_text
 from .link import LinkModel
 from .simulator import RNG_ALGORITHM, RNG_STREAM_RULE, require_work_bounds, sweep
 
@@ -540,7 +540,7 @@ def main(argv=None) -> int:
     except Exception as exc:
         # an unforeseen fault is a runtime failure, never a compare verdict
         code, message = EXIT_RUNTIME, f"{type(exc).__name__}: {exc}"
-    print("divaloha:", " ".join(message.split()), file=sys.stderr)
+    print("divaloha:", " ".join(map(short_text, message.split())), file=sys.stderr)
     return code
 
 

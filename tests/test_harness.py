@@ -15,7 +15,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from divaloha import harness
-from divaloha.errors import short_int
+from divaloha.errors import short_int, short_text
 from divaloha.harness import (
     CSV_COLUMNS,
     EXIT_COMPARE_FAILED,
@@ -920,6 +920,32 @@ class TestCliContract:
         assert len(lines[0]) <= 200 and bound in lines[0]
         assert "e+" in lines[0]
 
+    # (argv with {long} for the over-long value, the name the line keeps)
+    LONG_VALUE = {
+        "rounds": ("simulate --tf 1000 --tau 10 --loads 0.5 --rounds {nines}", "--rounds"),
+        "loads": ("simulate --tf 1000 --tau 10 --loads {xs}", "--loads"),
+        "tau": ("simulate --tf 1000 --tau {nines}us --loads 0.5", "--tau"),
+        "mode": ("{xs} --tau 10", "mode"),
+        "unknown-flag": ("analytic --{xs} 1", "--xxx"),
+        "policy": ("analytic --tf 1000 --tau 10 --loads 0.5 --policy {xs}", "--policy"),
+        "format": ("analytic --tf 1000 --tau 10 --loads 0.5 --format {xs}", "--format"),
+        "config-tf": ("analytic --config {cfg}", "--tf"),
+    }
+
+    @pytest.mark.parametrize("case", sorted(LONG_VALUE))
+    def test_long_value_refusal_is_one_short_line(self, case, tmp_path):
+        # values of 400-5000 characters; the config holds a 4000-digit tf
+        cfg = tmp_path / "long.json"
+        cfg.write_text('{"tf": %s, "tau": 10, "loads": 0.5}' % ("9" * 4000))
+        argv, name = self.LONG_VALUE[case]
+        words = argv.format(nines="9" * 5000 if case == "rounds" else "9" * 400,
+                            xs="x" * 3000, cfg=cfg).split()
+        code, out, err = self.run_main(words)
+        assert (code, out) == (EXIT_USAGE, "")
+        lines = err.splitlines()
+        assert len(lines) == 1 and lines[0].startswith("divaloha: ")
+        assert len(lines[0]) <= 200 and name in lines[0]
+
     @staticmethod
     def assert_refused(argv, what):
         out, err = io.StringIO(), io.StringIO()
@@ -943,6 +969,12 @@ class TestCliContract:
 )
 def test_short_int_is_exact_up_to_fifteen_digits(n, shown):
     assert short_int(n) == shown
+
+
+def test_short_text_keeps_short_words_whole():
+    assert short_text("x" * 100) == "x" * 100
+    shown = short_text("'" + "9" * 5000 + "'")
+    assert shown == "'" + "9" * 39 + "...(5002 characters)..." + "9" * 11 + "'"
 
 
 FAILING_GIVEN = """
