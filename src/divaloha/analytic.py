@@ -46,8 +46,8 @@ _EXACT_INT_LIMIT = 2**53
 
 # Work bound: a fold of more disturbers than this is refused before its
 # first step. It counts steps, not entries: at small budgets a step's cost
-# is numpy call overhead (20-30 us at tau 2 on a 2-core host), so 2**16
-# steps take 1.5-2 s; the paper's grids need at most a few hundred.
+# is numpy call overhead (10-13 us at tau 2 on a 2-core host), so 2**16
+# steps take about a second; the paper's grids need at most a few hundred.
 MAX_FOLD_STEPS = 1 << 16
 
 
@@ -336,9 +336,10 @@ def _fold(
     row 0 (truncated below tau - 1: every benchmark geometry) is one row
     of its own length, trunc_len + 1. The buffers are rebuilt only while
     the support grows, the first ceil(top / tau) steps (top is trunc_len,
-    or n_dp * tau untruncated), and each call goes straight to a ufunc,
-    so a one-row step costs eight ufunc calls and one allocation, the
-    array it yields: 7-11 us at 451 entries on a 2-core x86 host. A step
+    or n_dp * tau untruncated), and each call goes straight to a ufunc
+    with array operands only, so a one-row step costs eight ufunc calls
+    and one allocation, the array it yields: 6-7 us at 451 entries on a
+    2-core x86 host. A step
     over several rows adds seven calls for the suffix term, two for the
     n_tau term and the zeroing of its padding.
 
@@ -353,8 +354,9 @@ def _fold(
     _require_analytic(config)
     tau = config.burst_len
     w = tau - 1
-    # 0-d float64 arrays, exact below 2**53: numpy takes such an operand as
-    # it is, but converts a Python float on every ufunc call
+    # 0-d float64 arrays, exact below 2**53, for the reason decode_frame's
+    # budget is one: numpy takes such an operand as it is, but converts a
+    # Python float on every ufunc call
     kernel = (*_fold_kernel(config.frame_len, tau), 6)
     n0, c0, n_tau, den, six = (np.array(float(v)) for v in kernel)
     top = n_dp * tau if trunc_len is None else trunc_len
