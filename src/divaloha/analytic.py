@@ -339,9 +339,8 @@ def _fold(
     or n_dp * tau untruncated), and each call goes straight to a ufunc
     with array operands only, so a one-row step costs eight ufunc calls
     and one allocation, the array it yields: 6-7 us at 451 entries on a
-    2-core x86 host. A step
-    over several rows adds seven calls for the suffix term, two for the
-    n_tau term and the zeroing of its padding.
+    2-core x86 host. A step over several rows adds seven calls for the
+    suffix term, two for the n_tau term and the zeroing of its padding.
 
     Bits: the numerator is summed in count space as (c0 W0 + 6 R) + (n0
     acc + n_tau acc[k-tau]) and divided once, so folding into the delta
@@ -354,9 +353,9 @@ def _fold(
     _require_analytic(config)
     tau = config.burst_len
     w = tau - 1
-    # 0-d float64 arrays, exact below 2**53, for the reason decode_frame's
-    # budget is one: numpy takes such an operand as it is, but converts a
-    # Python float on every ufunc call
+    # 0-d float64 arrays, exact below 2**53, as decode_frame's budget is:
+    # numpy takes such an operand as it is, but converts a Python float on
+    # every ufunc call
     kernel = (*_fold_kernel(config.frame_len, tau), 6)
     n0, c0, n_tau, den, six = (np.array(float(v)) for v in kernel)
     top = n_dp * tau if trunc_len is None else trunc_len

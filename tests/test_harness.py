@@ -920,9 +920,11 @@ class TestCliContract:
         assert len(lines[0]) <= 200 and bound in lines[0]
         assert "e+" in lines[0]
 
-    # (argv with {long} for the over-long value, the name the line keeps)
+    # (argv, the name the line keeps); the over-long value is {big}, 5000
+    # nines, {nines}, 400, {xs}, 3000 x's, or {cfg}, a config whose tf has
+    # 4000 digits
     LONG_VALUE = {
-        "rounds": ("simulate --tf 1000 --tau 10 --loads 0.5 --rounds {nines}", "--rounds"),
+        "rounds": ("simulate --tf 1000 --tau 10 --loads 0.5 --rounds {big}", "--rounds"),
         "loads": ("simulate --tf 1000 --tau 10 --loads {xs}", "--loads"),
         "tau": ("simulate --tf 1000 --tau {nines}us --loads 0.5", "--tau"),
         "mode": ("{xs} --tau 10", "mode"),
@@ -934,13 +936,11 @@ class TestCliContract:
 
     @pytest.mark.parametrize("case", sorted(LONG_VALUE))
     def test_long_value_refusal_is_one_short_line(self, case, tmp_path):
-        # values of 400-5000 characters; the config holds a 4000-digit tf
         cfg = tmp_path / "long.json"
         cfg.write_text('{"tf": %s, "tau": 10, "loads": 0.5}' % ("9" * 4000))
         argv, name = self.LONG_VALUE[case]
-        words = argv.format(nines="9" * 5000 if case == "rounds" else "9" * 400,
-                            xs="x" * 3000, cfg=cfg).split()
-        code, out, err = self.run_main(words)
+        words = argv.format(big="9" * 5000, nines="9" * 400, xs="x" * 3000, cfg=cfg)
+        code, out, err = self.run_main(words.split())
         assert (code, out) == (EXIT_USAGE, "")
         lines = err.splitlines()
         assert len(lines) == 1 and lines[0].startswith("divaloha: ")
