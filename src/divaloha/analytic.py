@@ -27,7 +27,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Iterator, NamedTuple, Sequence
+from typing import Iterable, Iterator, NamedTuple
 
 import numpy as np
 
@@ -37,6 +37,7 @@ from .errors import (
     InsufficientSupportError,
     InvalidParameterError,
     WorkBoundError,
+    as_int,
     short_int,
 )
 from .link import DecodeBudget, LinkModel
@@ -308,8 +309,10 @@ def convolve(
     """
     if a.config != b.config:
         raise ConfigError("cannot convolve pmfs built for different configs")
-    if trunc_len is not None and trunc_len < 0:
-        raise InvalidParameterError(f"trunc_len must be >= 0, got {trunc_len}")
+    if trunc_len is not None:
+        trunc_len = as_int(trunc_len, "trunc_len")
+        if trunc_len < 0:
+            raise InvalidParameterError(f"trunc_len must be >= 0, got {trunc_len}")
     dp_count = a.dp_count + b.dp_count
     caps = (dp_count * a.config.burst_len, a.truncated_at, b.truncated_at, trunc_len)
     limit = min(cap for cap in caps if cap is not None)
@@ -433,12 +436,16 @@ def interference_distribution(
     equals its untruncated value bit for bit. The result holds
     min(trunc_len, n_dp * burst_len) + 1 entries, so a trunc_len at or past
     the full support gives the untruncated pmf. More than MAX_FOLD_STEPS
-    disturbers raise WorkBoundError before the first step.
+    disturbers raise WorkBoundError before the first step, and an n_dp or
+    trunc_len that is not an int raises InvalidParameterError.
     """
+    n_dp = as_int(n_dp, "n_dp")
     if n_dp < 0:
         raise InvalidParameterError(f"n_dp must be >= 0, got {n_dp}")
-    if trunc_len is not None and trunc_len < 0:
-        raise InvalidParameterError(f"trunc_len must be >= 0, got {trunc_len}")
+    if trunc_len is not None:
+        trunc_len = as_int(trunc_len, "trunc_len")
+        if trunc_len < 0:
+            raise InvalidParameterError(f"trunc_len must be >= 0, got {trunc_len}")
     _require_fold_bound(n_dp)
     if n_dp == 0:
         return delta_pmf(config)
@@ -507,7 +514,7 @@ class CurvePoint:
 
 
 def analytic_curve(
-    config: SystemConfig, link: LinkModel, loads: Sequence[float]
+    config: SystemConfig, link: LinkModel, loads: Iterable[float]
 ) -> list[CurvePoint]:
     """Packet loss ratio and throughput at each load.
 
@@ -521,12 +528,13 @@ def analytic_curve(
     costs O(budget) and a row's sum is its cdf at the budget. A link that
     cannot decode loses every copy and runs no fold. An empty frame loses
     nothing, so n_tx = 0 reports plr 0 (and p_ccd 1 to keep the packet
-    identity).
+    identity). ``loads`` is read once, as a tuple, so any iterable serves.
 
     Refusal order: the geometry (_require_analytic), then every load
     through n_tx_for_load, then the largest load's n_tx - 1 against
     MAX_FOLD_STEPS (WorkBoundError), all before any fold step.
     """
+    loads = tuple(loads)
     _require_analytic(config)
     n_by_load = [n_tx_for_load(config, g) for g in loads]
     # the largest load needs the most steps; refuse it before any step

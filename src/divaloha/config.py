@@ -2,10 +2,9 @@
 
 from __future__ import annotations
 
-import operator
 from dataclasses import dataclass
 
-from .errors import ConfigError, short_int
+from .errors import ConfigError, as_int, short_int
 
 
 @dataclass(frozen=True)
@@ -22,12 +21,8 @@ class SystemConfig:
 
     def __post_init__(self) -> None:
         for name in ("frame_len", "burst_len", "copies"):
-            value = getattr(self, name)
-            # ints and numpy integers have __index__; floats and str do not,
-            # and a bool, which has, is not a symbol count
-            if isinstance(value, bool) or not hasattr(value, "__index__"):
-                raise ConfigError(f"{name} must be an int, got {value!r}")
-            object.__setattr__(self, name, operator.index(value))
+            value = as_int(getattr(self, name), name, ConfigError)
+            object.__setattr__(self, name, value)
         if self.burst_len < 1:
             raise ConfigError(
                 f"burst_len must be >= 1, got {short_int(self.burst_len)}"

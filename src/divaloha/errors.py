@@ -1,5 +1,7 @@
-"""Exception types shared across the package, and how their messages show
-an int or a long piece of text."""
+"""Exception types shared across the package, how their messages show an
+int or a long piece of text, and the one rule for an integer argument."""
+
+import operator
 
 
 def short_int(n: int) -> str:
@@ -44,3 +46,14 @@ class PlacementImpossibleError(DivalohaError):
 
 class WorkBoundError(DivalohaError):
     """A run would exceed one of the package's documented work bounds."""
+
+
+def as_int(
+    value, name: str, error: type = InvalidParameterError, expected: str = "an int"
+) -> int:
+    """``value`` as the int it equals, or ``error`` naming ``name``. ints and
+    numpy integers have ``__index__``; floats and str do not, and a bool,
+    which has, is not a count."""
+    if isinstance(value, bool) or not hasattr(value, "__index__"):
+        raise error(f"{name} must be {expected}, got {value!r}")
+    return operator.index(value)

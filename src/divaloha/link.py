@@ -10,11 +10,10 @@ collider of the summed overlap, so a single symbol budget captures it.
 from __future__ import annotations
 
 import math
-import operator
 from dataclasses import dataclass
 from fractions import Fraction
 
-from .errors import InvalidParameterError
+from .errors import InvalidParameterError, as_int
 
 
 def spectral_rate(modulation_order: int, code_rate: float) -> float:
@@ -81,13 +80,7 @@ class DecodeBudget:
         limit = self.max_interference
         if limit is None:
             return
-        # ints and numpy integers have __index__; floats and str do not, and
-        # a bool, which has, is not a symbol count
-        if isinstance(limit, bool) or not hasattr(limit, "__index__"):
-            raise InvalidParameterError(
-                f"max_interference must be an int or None, got {limit!r}"
-            )
-        limit = operator.index(limit)
+        limit = as_int(limit, "max_interference", expected="an int or None")
         if limit < 0:
             raise InvalidParameterError(f"max_interference must be >= 0, got {limit}")
         object.__setattr__(self, "max_interference", limit)

@@ -7,7 +7,6 @@ from __future__ import annotations
 
 import functools
 import math
-import operator
 import os
 from dataclasses import dataclass
 
@@ -20,6 +19,7 @@ from .errors import (
     InvalidParameterError,
     PlacementImpossibleError,
     WorkBoundError,
+    as_int,
     short_int,
 )
 from .link import DecodeBudget, LinkModel
@@ -107,7 +107,9 @@ class FrameStream:
         The first frame asked of a block places the whole block, one
         ``integers`` call per copy, and sweeps it (see
         per_copy_interference); later frames of the same block are views of
-        its rows. A seed or block index outside 0..2**64-1 raises
+        its rows. A seed, n_tx or frame index that is not an int (a bool,
+        float or str; a numpy integer acts as the equal int), a negative
+        n_tx, and a seed or block index outside 0..2**64-1 raise
         InvalidParameterError, and a block that the sweep's sort keys cannot
         hold raises ConfigError (see _key_bits), both before the block is
         keyed or drawn; a block that holds a dead end raises
@@ -116,24 +118,27 @@ class FrameStream:
         """
         f = self.frame_index
         key = (self.seed, n_tx, config)
-        if not (self._lo <= f < self._hi and key == self._key):
+        # the key first: a fresh stream holds none, so any frame index
+        # reaches the checks below
+        if not (key == self._key and self._lo <= f < self._hi):
+            n_tx = as_int(n_tx, "n_tx")
             if n_tx < 0:
                 raise InvalidParameterError(f"n_tx must be >= 0, got {n_tx}")
-            # a Python int: a numpy index would wrap in _hi near 2**64
-            f = operator.index(f)
+            # Python ints: a numpy frame index would wrap in _hi near 2**64,
+            # and a numpy seed in the key's shift
+            f = as_int(f, "frame index")
+            seed = as_int(self.seed, "seed")
             k = _block_frames(n_tx, config.copies)
             block = f // k
             # each is one 64-bit word of the key: outside, it would alias
-            if not 0 <= self.seed <= _MASK64:
-                raise InvalidParameterError(
-                    f"seed must be in 0..2**64-1, got {self.seed}"
-                )
+            if not 0 <= seed <= _MASK64:
+                raise InvalidParameterError(f"seed must be in 0..2**64-1, got {seed}")
             if not 0 <= block <= _MASK64:
                 raise InvalidParameterError(
                     f"frame {f} is in block {block}, outside 0..2**64-1"
                 )
             _key_bits(k * n_tx * config.copies, k, config)
-            starts = _place(_block_rng(self.seed, block), k * n_tx, config)
+            starts = _place(_block_rng(seed, block), k * n_tx, config)
             overlap = _sweep(starts, k, config)
             starts.flags.writeable = False
             overlap.flags.writeable = False
@@ -156,10 +161,10 @@ def _block_frames(n_tx: int, copies: int) -> int:
 def _block_rng(seed: int, block: int) -> np.random.Generator:
     """A fresh generator for block ``block`` of point seed ``seed``: Philox
     keyed ``(seed << 64) | block`` at counter 0, as RNG_STREAM_RULE says.
-    ``seed`` and ``block`` are each one key word, in 0..2**64-1
-    (``FrameStream.starts`` checks them); the seed is taken as a Python int,
-    since a numpy uint64 would wrap in the shift."""
-    key = (operator.index(seed) << 64) | block
+    ``seed`` and ``block`` are each one key word, a Python int in
+    0..2**64-1 (``FrameStream.starts`` makes them so and checks them): a
+    numpy uint64 would wrap in the shift."""
+    key = (seed << 64) | block
     return np.random.Generator(np.random.Philox(key=key))
 
 
@@ -186,7 +191,10 @@ def frame_rng(
 
 def point_seed(master_seed: int, point_index: int) -> int:
     """Per-point seed for sweeps, derived so duplicate grid loads still get
-    distinct streams. A negative master seed raises InvalidParameterError."""
+    distinct streams. A master seed or point index that is not an int, or a
+    negative master seed, raises InvalidParameterError."""
+    master_seed = as_int(master_seed, "master seed")
+    point_index = as_int(point_index, "point index")
     if master_seed < 0:
         raise InvalidParameterError(f"master seed must be >= 0, got {master_seed}")
     ss = np.random.SeedSequence([master_seed, point_index])
@@ -336,14 +344,13 @@ def per_copy_interference(frame: Frame, config: SystemConfig) -> np.ndarray:
     ``(shifted start << bits) | copy index``: the sorted starts are the keys
     shifted back down and the order is their low bits. The index bits break
     ties, so the order is fully determined. lo, the rank of the key
-    ``s - tau + 1`` among the starts, comes from merging two sorted runs:
-    keys tagged 0 and starts tagged 1 as ``(v << 1) | tag``, so a key sorts
-    before an equal start, through one stable sort, which merges two runs
-    in linear time. Key k then sits at position ``lo[k] + k``. hi, the rank
-    of ``s + tau``, follows by counting: ``hi[k] = #{j : lo[j] <= k}``, a
-    bincount of lo summed cumulatively, because on sorted integers (ties
-    included) ``s_j < s_k + tau  <=>  s_k >= s_j - tau + 1  <=>
-    k >= lo[j]``.
+    ``s - tau + 1`` among the starts, and hi, the rank of ``s + tau``, both
+    come from one merge of two sorted runs: keys tagged 0 and starts tagged
+    1 as ``(v << 1) | tag``, so a key sorts before an equal start, through
+    one stable sort, which merges two runs in linear time. Key k then sits
+    at position ``lo[k] + k`` and start k at ``hi[k] + k``: the starts
+    before key k are those with ``s_j < s_k - tau + 1``, and the keys before
+    start k those with ``s_j - tau + 1 <= s_k``, that is ``s_j < s_k + tau``.
 
     A block whose largest shifted start a key cannot hold raises
     ConfigError (see _key_bits); no block of the stream rule with
@@ -363,7 +370,8 @@ def _sweep(starts: np.ndarray, frames: int, config: SystemConfig) -> np.ndarray:
     per_copy_interference describes.
 
     A key is ``(shifted start << bits) | copy index`` with ``bits`` enough
-    for every index (at least 1, for the merge's tag bit), so it holds
+    for every index (at least 1, so that the key shifted down by
+    ``bits - 1`` and its tag bit set is the merge's ``2s + 1``), so it holds
     shifted starts up to ``2**(63 - bits) - 1``. The largest one a block can
     have is the last start of its last frame,
     ``top = frames * (frame_len + tau) - 2 * tau``, which also bounds every
@@ -380,8 +388,10 @@ def _sweep(starts: np.ndarray, frames: int, config: SystemConfig) -> np.ndarray:
 
     Buffers are reused in place: the sweep holds eight arrays of B integers
     at its peak (the order, copy indices, sorted starts, lo, hi, prefix sums
-    and a work buffer of 2B) and writes the totals into the buffer of the
-    sorted starts.
+    and a work buffer of 2B, which takes the merge's two runs and later
+    serves as scratch) and writes the totals into the buffer of the sorted
+    starts. The ranks are read through a 2B-byte tag mask, one at a time,
+    before the prefix sums are allocated.
     """
     tau = config.burst_len
     n = starts.size
@@ -395,20 +405,21 @@ def _sweep(starts: np.ndarray, frames: int, config: SystemConfig) -> np.ndarray:
     shifted <<= bits
     shifted |= k
     shifted.sort()
+    # starts 2s + 1 (tag 1) straight from the sorted keys, and keys
+    # 2(s - tau + 1) (tag 0): two sorted runs, which the stable sort
+    # (timsort) merges in one linear pass
+    np.right_shift(shifted, bits - 1, out=b)
+    b |= 1
+    np.subtract(b, 2 * tau - 1, out=a)
     s = shifted >> bits
     order = np.bitwise_and(shifted, (1 << bits) - 1, out=shifted)
-    # keys s - tau + 1 tagged 0, starts tagged 1: two sorted runs, which the
-    # stable sort (timsort) merges in one linear pass
-    np.subtract(s, tau - 1, out=a)
-    a <<= 1
-    np.left_shift(s, 1, out=b)
-    b |= 1
     work.sort(kind="stable")
+    # key k sits at lo[k] + k, start k at hi[k] + k
     work &= 1
     lo = np.flatnonzero(work == 0)
     lo -= k
-    hi = np.bincount(lo, minlength=n)
-    np.add.accumulate(hi, out=hi)
+    hi = np.flatnonzero(work == 1)
+    hi -= k
     prefix = np.empty(n + 1, dtype=np.int64)
     prefix[0] = 0
     np.add.accumulate(s, out=prefix[1:])
@@ -566,7 +577,9 @@ def require_work_bounds(config: SystemConfig, loads, rounds: int) -> list[int]:
     work bounds: WorkBoundError if ``rounds`` frames per load exceed
     MAX_ROUNDS, or if a load puts more than MAX_FRAME_COPIES copies in a
     frame. It computes n_tx and nothing more, so ``sweep``,
-    ``estimate_point`` and the command line call it before any work."""
+    ``estimate_point`` and the command line call it before any work.
+    ``loads`` is read once, so any iterable serves."""
+    loads = tuple(loads)
     if rounds > MAX_ROUNDS:
         raise WorkBoundError(
             f"{short_int(rounds)} rounds is over the bound of {MAX_ROUNDS} "
@@ -603,11 +616,13 @@ def estimate_point(
     RNG blocks, so each block is placed and swept once, and the pool never
     holds more processes than chunks or CPUs.
 
-    Refusal order: the argument checks (``rounds`` and ``workers`` at least
-    1), then the pre-flight ``require_work_bounds`` for this load, then
+    Refusal order: the argument checks (``rounds`` and ``workers`` ints of
+    at least 1), then the pre-flight ``require_work_bounds`` for this load, then
     work. PlacementImpossibleError comes from the first frame drawn from
     the block that holds the dead end.
     """
+    rounds = as_int(rounds, "rounds")
+    workers = as_int(workers, "workers")
     if rounds < 1:
         raise InvalidParameterError(f"rounds must be >= 1, got {rounds}")
     if workers < 1:
@@ -662,11 +677,14 @@ def sweep(
 ) -> list[SimResult]:
     """estimate_point over a load grid, one derived seed per grid index.
 
+    ``loads`` is read once, as a tuple, so any iterable serves.
+
     Refusal order: the pre-flight ``require_work_bounds`` over the whole
     grid, then each load through estimate_point, whose argument checks and
     pre-flight come before its frames. So an over-bound load anywhere in
     the grid is refused before the first frame.
     """
+    loads = tuple(loads)
     require_work_bounds(config, loads, rounds)
     return [
         estimate_point(config, link, g, rounds, point_seed(seed, i), workers=workers)

@@ -26,6 +26,7 @@ from divaloha import (
     SystemConfig,
     WorkBoundError,
     analytic_curve,
+    convolve,
     decode_frame,
     draw_frame,
     estimate_point,
@@ -1168,6 +1169,18 @@ class TestDecodeFrameReference:
             decode_reference(interference, budget, 2)
         )
 
+    @pytest.mark.parametrize(
+        "limit", [2**63 - 1, 2**63, 2**64, 10**30],
+        ids=["int64_max", "past_int64", "2**64", "1e30"],
+    )
+    def test_int64_totals_at_every_limit_from_int64_max_up(self, limit):
+        # no int64 total exceeds 2**63 - 1, so every limit from there up
+        # decodes every packet
+        interference = np.array([[2**63 - 1, 2**63 - 1], [0, 2**63 - 1], [5, 7]])
+        assert interference.dtype == np.int64
+        assert decode_frame(interference, DecodeBudget(limit), 2) == 0
+        assert decode_frame(interference, DecodeBudget(2**63 - 2), 2) == 1
+
     def test_bound_is_built_once_per_limit(self):
         bound = simulator._bound(50)
         assert simulator._bound(50) is bound
@@ -1316,6 +1329,17 @@ class TestSweep:
         results = sweep(config, LINK_10DB, loads, 1500, seed=23)
         for pt, res in zip(pts, results):
             assert abs(pt.plr - res.plr_mean) <= max(0.02, 5 * res.plr_stderr)
+
+    def test_one_shot_iterable_of_loads(self):
+        # the load pre-flight reads the grid before the points do, so a
+        # generator must be read once, not emptied by the pre-flight
+        config = SystemConfig(frame_len=10000, burst_len=100)
+        loads = [0.2, 0.5]
+        want_curve = analytic_curve(config, LINK_10DB, loads)
+        want_sweep = sweep(config, LINK_10DB, loads, 5, 1)
+        assert len(want_curve) == len(want_sweep) == 2
+        assert analytic_curve(config, LINK_10DB, (g for g in loads)) == want_curve
+        assert sweep(config, LINK_10DB, (g for g in loads), 5, 1) == want_sweep
 
 
 class TestFrameCopyBound:
@@ -1592,6 +1616,54 @@ class TestOnePreFlight:
         ]
         assert "require_work_bounds" in names
         assert [name for name in names if name.startswith("_")] == []
+
+
+_INT_CONFIG = SystemConfig(1000, 10)
+_INT_PMF = interference_distribution(_INT_CONFIG, 1)
+
+# each call with one integer argument in turn, by name: the call, as
+# comparable values, and the int that argument takes
+_INT_ARGUMENTS = {
+    "draw_frame-n_tx": (
+        lambda v: draw_frame(frame_rng(7, 5), v, _INT_CONFIG).starts.tobytes(), 3
+    ),
+    "frame_rng-seed": (
+        lambda v: draw_frame(frame_rng(v, 5), 3, _INT_CONFIG).starts.tobytes(), 7
+    ),
+    "frame_rng-frame_index": (
+        lambda v: draw_frame(frame_rng(7, v), 3, _INT_CONFIG).starts.tobytes(), 5
+    ),
+    "estimate_point-rounds": (
+        lambda v: estimate_point(_INT_CONFIG, LINK_10DB, 0.5, v, 1), 10
+    ),
+    "estimate_point-workers": (
+        lambda v: estimate_point(_INT_CONFIG, LINK_10DB, 0.5, 10, 1, workers=v), 1
+    ),
+    "interference_distribution-n_dp": (
+        lambda v: interference_distribution(_INT_CONFIG, v).probs.tobytes(), 2
+    ),
+    "interference_distribution-trunc_len": (
+        lambda v: interference_distribution(_INT_CONFIG, 2, v).probs.tobytes(), 5
+    ),
+    "convolve-trunc_len": (
+        lambda v: convolve(_INT_PMF, _INT_PMF, v).probs.tobytes(), 3
+    ),
+    "point_seed-master_seed": (lambda v: point_seed(v, 0), 1),
+    "point_seed-point_index": (lambda v: point_seed(1, v), 2),
+}
+
+
+@pytest.mark.parametrize("argument", sorted(_INT_ARGUMENTS))
+def test_integer_arguments_follow_the_one_rule(argument):
+    # a numpy integer acts as the equal int, to the frame bytes; a bool,
+    # float or str is refused, as SystemConfig and DecodeBudget refuse them
+    call, value = _INT_ARGUMENTS[argument]
+    want = call(value)
+    for kind in (np.int64, np.uint16):
+        assert call(kind(value)) == want
+    for bad in (True, float(value), np.float64(value), str(value)):
+        with pytest.raises(InvalidParameterError, match="must be an int, got"):
+            call(bad)
 
 
 def test_import_leaves_process_pool_out():
