@@ -114,7 +114,10 @@ class FrameStream:
         hold raises ConfigError (see _key_bits), both before the block is
         keyed or drawn; a block that holds a dead end raises
         PlacementImpossibleError while it is placed. Either way the stream
-        keeps the block it held before.
+        keeps the block it held before. A frame of the block held is not
+        checked, so that it costs nothing: a seed or n_tx equal to the held
+        one (True to 1, 7.0 to 7) reads the held block, and a float frame
+        index in it raises numpy's IndexError.
         """
         f = self.frame_index
         key = (self.seed, n_tx, config)
@@ -518,7 +521,10 @@ def decode_frame(
 def _bound(limit: int):
     """The int ``limit`` as a read-only 0-d int64 array, or ``limit``
     itself where int64 cannot hold it (``np.array`` would raise
-    OverflowError), so such a limit is compared exactly, as a Python int."""
+    OverflowError), so such a limit is compared as the Python int it is.
+    Clamping it to 2**63 - 1 instead would keep every int64 total's count,
+    but would change the count of float64 or uint64 interference, which
+    decode_frame also takes, at values such as 1e33 or 2**63."""
     if not -(1 << 63) <= limit < 1 << 63:
         return limit
     bound = np.array(limit, dtype=np.int64)
@@ -617,9 +623,9 @@ def estimate_point(
     holds more processes than chunks or CPUs.
 
     Refusal order: the argument checks (``rounds`` and ``workers`` ints of
-    at least 1), then the pre-flight ``require_work_bounds`` for this load, then
-    work. PlacementImpossibleError comes from the first frame drawn from
-    the block that holds the dead end.
+    at least 1), then the pre-flight ``require_work_bounds`` for this load,
+    then work. PlacementImpossibleError comes from the first frame drawn
+    from the block that holds the dead end.
     """
     rounds = as_int(rounds, "rounds")
     workers = as_int(workers, "workers")

@@ -1151,10 +1151,11 @@ class TestDecodeFrameReference:
                 decode_reference(interference, self.NEXT_BUDGET, copies)
             )
 
-    # the largest int64, the first int past it, and past the budget of about
-    # 1e32 that --snir-dec-db -300 gives at tau 100
+    # the largest int64, the first int past it, past uint64, and past the
+    # budget of about 1e32 that --snir-dec-db -300 gives at tau 100
     @pytest.mark.parametrize(
-        "limit", [2**63 - 1, 2**63, 10**33], ids=["int64_max", "past_int64", "1e33"]
+        "limit", [2**63 - 1, 2**63, 2**64, 10**30, 10**33],
+        ids=["int64_max", "past_int64", "past_uint64", "1e30", "1e33"],
     )
     @pytest.mark.parametrize(
         "values",
@@ -1168,18 +1169,6 @@ class TestDecodeFrameReference:
         assert decode_frame(interference, budget, 2) == (
             decode_reference(interference, budget, 2)
         )
-
-    @pytest.mark.parametrize(
-        "limit", [2**63 - 1, 2**63, 2**64, 10**30],
-        ids=["int64_max", "past_int64", "2**64", "1e30"],
-    )
-    def test_int64_totals_at_every_limit_from_int64_max_up(self, limit):
-        # no int64 total exceeds 2**63 - 1, so every limit from there up
-        # decodes every packet
-        interference = np.array([[2**63 - 1, 2**63 - 1], [0, 2**63 - 1], [5, 7]])
-        assert interference.dtype == np.int64
-        assert decode_frame(interference, DecodeBudget(limit), 2) == 0
-        assert decode_frame(interference, DecodeBudget(2**63 - 2), 2) == 1
 
     def test_bound_is_built_once_per_limit(self):
         bound = simulator._bound(50)
