@@ -152,12 +152,12 @@ class InterferencePmf:
     """Pmf of the aggregate overlap (symbols) a tagged copy suffers.
 
     ``dp_count`` is how many independent disturbers the pmf accounts for,
-    so full support is 0..dp_count*burst_len. The truncation is the
-    length: ``probs`` with fewer than dp_count*burst_len + 1 entries holds
-    only indices 0..truncated_at and the upper tail is dropped; every
-    retained entry still equals its untruncated value, and the retained
-    mass is at most 1. ``probs`` is a read-only copy of the array it was
-    built from.
+    an int of at least 0 stored as the int it equals, so full support is
+    0..dp_count*burst_len. The truncation is the length: ``probs`` with
+    fewer than dp_count*burst_len + 1 entries holds only indices
+    0..truncated_at and the upper tail is dropped; every retained entry
+    still equals its untruncated value, and the retained mass is at most 1.
+    ``probs`` is a read-only copy of the array it was built from.
     """
 
     config: SystemConfig
@@ -168,8 +168,7 @@ class InterferencePmf:
         probs = np.array(self.probs, dtype=float)
         probs.setflags(write=False)
         object.__setattr__(self, "probs", probs)
-        if self.dp_count < 0:
-            raise InvalidParameterError(f"dp_count must be >= 0, got {self.dp_count}")
+        object.__setattr__(self, "dp_count", as_int(self.dp_count, "dp_count", 0))
         if probs.ndim != 1:
             raise InvalidParameterError("probs must be one-dimensional")
         # NaN compares False against every bound below, so it is refused here
@@ -310,9 +309,7 @@ def convolve(
     if a.config != b.config:
         raise ConfigError("cannot convolve pmfs built for different configs")
     if trunc_len is not None:
-        trunc_len = as_int(trunc_len, "trunc_len")
-        if trunc_len < 0:
-            raise InvalidParameterError(f"trunc_len must be >= 0, got {trunc_len}")
+        trunc_len = as_int(trunc_len, "trunc_len", 0)
     dp_count = a.dp_count + b.dp_count
     caps = (dp_count * a.config.burst_len, a.truncated_at, b.truncated_at, trunc_len)
     limit = min(cap for cap in caps if cap is not None)
@@ -437,15 +434,12 @@ def interference_distribution(
     min(trunc_len, n_dp * burst_len) + 1 entries, so a trunc_len at or past
     the full support gives the untruncated pmf. More than MAX_FOLD_STEPS
     disturbers raise WorkBoundError before the first step, and an n_dp or
-    trunc_len that is not an int raises InvalidParameterError.
+    trunc_len that is not an int, or is negative, raises
+    InvalidParameterError.
     """
-    n_dp = as_int(n_dp, "n_dp")
-    if n_dp < 0:
-        raise InvalidParameterError(f"n_dp must be >= 0, got {n_dp}")
+    n_dp = as_int(n_dp, "n_dp", 0)
     if trunc_len is not None:
-        trunc_len = as_int(trunc_len, "trunc_len")
-        if trunc_len < 0:
-            raise InvalidParameterError(f"trunc_len must be >= 0, got {trunc_len}")
+        trunc_len = as_int(trunc_len, "trunc_len", 0)
     _require_fold_bound(n_dp)
     if n_dp == 0:
         return delta_pmf(config)

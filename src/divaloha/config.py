@@ -12,7 +12,7 @@ class SystemConfig:
     """Discretized frame geometry. All lengths are in symbols; the physical
     symbol time never enters the math, so it is not part of the geometry.
     Each field must be an integer, which is stored as the int it equals; a
-    float, bool or str is refused.
+    float, bool or str is refused, and so is a burst_len or copies below 1.
     """
 
     frame_len: int
@@ -20,15 +20,9 @@ class SystemConfig:
     copies: int = 2
 
     def __post_init__(self) -> None:
-        for name in ("frame_len", "burst_len", "copies"):
-            value = as_int(getattr(self, name), name, ConfigError)
+        for name, least in (("frame_len", None), ("burst_len", 1), ("copies", 1)):
+            value = as_int(getattr(self, name), name, least, ConfigError)
             object.__setattr__(self, name, value)
-        if self.burst_len < 1:
-            raise ConfigError(
-                f"burst_len must be >= 1, got {short_int(self.burst_len)}"
-            )
-        if self.copies < 1:
-            raise ConfigError(f"copies must be >= 1, got {short_int(self.copies)}")
         if self.frame_len < self.copies * self.burst_len:
             raise ConfigError(
                 f"{short_int(self.copies)} copies of {short_int(self.burst_len)} "

@@ -49,11 +49,19 @@ class WorkBoundError(DivalohaError):
 
 
 def as_int(
-    value, name: str, error: type = InvalidParameterError, expected: str = "an int"
+    value,
+    name: str,
+    least: int | None = None,
+    error: type = InvalidParameterError,
+    expected: str = "an int",
 ) -> int:
     """``value`` as the int it equals, or ``error`` naming ``name``. ints and
     numpy integers have ``__index__``; floats and str do not, and a bool,
-    which has, is not a count."""
+    which has, is not a count. With ``least`` set, an int below it is
+    refused too, after the type."""
     if isinstance(value, bool) or not hasattr(value, "__index__"):
         raise error(f"{name} must be {expected}, got {value!r}")
-    return operator.index(value)
+    value = operator.index(value)
+    if least is not None and value < least:
+        raise error(f"{name} must be >= {least}, got {short_int(value)}")
+    return value

@@ -17,11 +17,9 @@ from .errors import InvalidParameterError, as_int
 
 
 def spectral_rate(modulation_order: int, code_rate: float) -> float:
-    """Information rate in bits/symbol for an M-ary constellation at code rate r."""
-    if modulation_order < 2:
-        raise InvalidParameterError(
-            f"modulation_order must be >= 2, got {modulation_order}"
-        )
+    """Information rate in bits/symbol for an M-ary constellation at code
+    rate r; ``modulation_order`` is an int of at least 2."""
+    modulation_order = as_int(modulation_order, "modulation_order", 2)
     if not 0.0 < code_rate <= 1.0:
         raise InvalidParameterError(f"code_rate must be in (0, 1], got {code_rate}")
     return code_rate * math.log2(modulation_order)
@@ -53,12 +51,11 @@ def snir_at(x_symbols: int, burst_len: int, snr_linear: float) -> float:
 
     Interference power is scaled by the interfered fraction x/burst_len;
     x above burst_len is allowed and means several colliders stacked more
-    than one full burst of overlap.
+    than one full burst of overlap. Both counts are ints: ``burst_len`` at
+    least 1, ``x_symbols`` at least 0.
     """
-    if burst_len < 1:
-        raise InvalidParameterError(f"burst_len must be >= 1, got {burst_len}")
-    if x_symbols < 0:
-        raise InvalidParameterError(f"x_symbols must be >= 0, got {x_symbols}")
+    burst_len = as_int(burst_len, "burst_len", 1)
+    x_symbols = as_int(x_symbols, "x_symbols", 0)
     if not snr_linear > 0.0:
         raise InvalidParameterError(f"snr_linear must be > 0, got {snr_linear}")
     return snr_linear / ((x_symbols / burst_len) * snr_linear + 1.0)
@@ -80,9 +77,7 @@ class DecodeBudget:
         limit = self.max_interference
         if limit is None:
             return
-        limit = as_int(limit, "max_interference", expected="an int or None")
-        if limit < 0:
-            raise InvalidParameterError(f"max_interference must be >= 0, got {limit}")
+        limit = as_int(limit, "max_interference", 0, expected="an int or None")
         object.__setattr__(self, "max_interference", limit)
 
     @property
@@ -99,9 +94,9 @@ def interference_budget(
     burst_len * (1/snir_dec - 1/snr) is evaluated in exact rational
     arithmetic: in floats the flooring is off by one whenever the bound
     lands exactly on an integer, which it does for round-number inputs.
+    ``burst_len`` is an int of at least 1.
     """
-    if burst_len < 1:
-        raise InvalidParameterError(f"burst_len must be >= 1, got {burst_len}")
+    burst_len = as_int(burst_len, "burst_len", 1)
     if not 0.0 < snr_linear < math.inf:
         raise InvalidParameterError(
             f"snr_linear must be finite and > 0, got {snr_linear}"

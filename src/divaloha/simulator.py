@@ -107,30 +107,29 @@ class FrameStream:
         The first frame asked of a block places the whole block, one
         ``integers`` call per copy, and sweeps it (see
         per_copy_interference); later frames of the same block are views of
-        its rows. A seed, n_tx or frame index that is not an int (a bool,
-        float or str; a numpy integer acts as the equal int), a negative
-        n_tx, and a seed or block index outside 0..2**64-1 raise
-        InvalidParameterError, and a block that the sweep's sort keys cannot
-        hold raises ConfigError (see _key_bits), both before the block is
-        keyed or drawn; a block that holds a dead end raises
-        PlacementImpossibleError while it is placed. Either way the stream
-        keeps the block it held before. A frame of the block held is not
-        checked, so that it costs nothing: a seed or n_tx equal to the held
-        one (True to 1, 7.0 to 7) reads the held block, and a float frame
-        index in it raises numpy's IndexError.
+        its rows. Every frame, one of the block held included, holds the
+        seed, n_tx and frame index to the integer rule: a bool, float or str
+        raises InvalidParameterError, and a numpy integer acts as the equal
+        int. Three plain ints pass one type test and nothing more. A
+        negative n_tx, which no held block's key has, and a seed or block
+        index outside 0..2**64-1 raise InvalidParameterError, and a block
+        that the sweep's sort keys cannot hold raises ConfigError (see
+        _key_bits), both before the block is keyed or drawn; a block that
+        holds a dead end raises PlacementImpossibleError while it is placed.
+        Either way the stream keeps the block it held before.
         """
-        f = self.frame_index
-        key = (self.seed, n_tx, config)
+        f, seed = self.frame_index, self.seed
+        # Python ints from here on: a numpy frame index would wrap in _hi
+        # near 2**64, and a numpy seed in the key's shift
+        if not type(f) is type(seed) is type(n_tx) is int:
+            n_tx = as_int(n_tx, "n_tx")
+            f = as_int(f, "frame index")
+            seed = as_int(seed, "seed")
+        key = (seed, n_tx, config)
         # the key first: a fresh stream holds none, so any frame index
         # reaches the checks below
         if not (key == self._key and self._lo <= f < self._hi):
-            n_tx = as_int(n_tx, "n_tx")
-            if n_tx < 0:
-                raise InvalidParameterError(f"n_tx must be >= 0, got {n_tx}")
-            # Python ints: a numpy frame index would wrap in _hi near 2**64,
-            # and a numpy seed in the key's shift
-            f = as_int(f, "frame index")
-            seed = as_int(self.seed, "seed")
+            n_tx = as_int(n_tx, "n_tx", 0)
             k = _block_frames(n_tx, config.copies)
             block = f // k
             # each is one 64-bit word of the key: outside, it would alias
@@ -196,10 +195,8 @@ def point_seed(master_seed: int, point_index: int) -> int:
     """Per-point seed for sweeps, derived so duplicate grid loads still get
     distinct streams. A master seed or point index that is not an int, or a
     negative master seed, raises InvalidParameterError."""
-    master_seed = as_int(master_seed, "master seed")
+    master_seed = as_int(master_seed, "master seed", 0)
     point_index = as_int(point_index, "point index")
-    if master_seed < 0:
-        raise InvalidParameterError(f"master seed must be >= 0, got {master_seed}")
     ss = np.random.SeedSequence([master_seed, point_index])
     return int(ss.generate_state(1, np.uint64)[0])
 
@@ -482,7 +479,9 @@ def decode_frame(
 
     ``interference`` must be an (n_packets, copies) array, as
     per_copy_interference returns; any other shape raises
-    InvalidParameterError rather than being regrouped.
+    InvalidParameterError rather than being regrouped, and so does a
+    ``copies`` that is not an int (a numpy integer acts as the equal int;
+    a plain int passes one type test).
 
     A packet is lost exactly when its least-interfered copy exceeds the
     budget. The least interference is a running minimum over the copy
@@ -499,6 +498,8 @@ def decode_frame(
     int64 range, as ``--snir-dec-db -300`` gives, is compared as the
     Python int it is, so the count is the same either way.
     """
+    if type(copies) is not int:
+        copies = as_int(copies, "copies")
     try:
         n_packets, columns = interference.shape
     except (AttributeError, ValueError):
@@ -561,11 +562,12 @@ def _frames_lost(
     the draw of a block's first frame places and sweeps the block, every
     draw hands out row views of its starts and overlap, and the overlap
     call returns the view it carries. A warm frame, one whose block the
-    stream holds, costs a range test and a key compare in the stream, the
-    two row views, and the decode's few numpy calls. A chunk that starts or
-    ends inside a block places and sweeps that whole block; estimate_point's
-    chunks never do. Module-level, so a process pool can pickle a partial
-    of it; the per-frame functions are looked up at call time.
+    stream holds, costs three type tests, a key compare and a range test in
+    the stream, the two row views, and the decode's type test and few numpy
+    calls. A chunk that starts or ends inside a block places and sweeps that
+    whole block; estimate_point's chunks never do. Module-level, so a
+    process pool can pickle a partial of it; the per-frame functions are
+    looked up at call time.
     """
     lost = np.empty(frame_hi - frame_lo, dtype=np.int64)
     copies = config.copies
@@ -627,12 +629,8 @@ def estimate_point(
     then work. PlacementImpossibleError comes from the first frame drawn
     from the block that holds the dead end.
     """
-    rounds = as_int(rounds, "rounds")
-    workers = as_int(workers, "workers")
-    if rounds < 1:
-        raise InvalidParameterError(f"rounds must be >= 1, got {rounds}")
-    if workers < 1:
-        raise InvalidParameterError(f"workers must be >= 1, got {workers}")
+    rounds = as_int(rounds, "rounds", 1)
+    workers = as_int(workers, "workers", 1)
     (n_tx,) = require_work_bounds(config, [load], rounds)
     if n_tx == 0:
         return SimResult(load, 0, rounds, 0.0, 0.0, 0.0, seed)

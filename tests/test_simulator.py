@@ -20,6 +20,7 @@ from divaloha import (
     ConfigError,
     DecodeBudget,
     Frame,
+    InterferencePmf,
     InvalidParameterError,
     LinkModel,
     PlacementImpossibleError,
@@ -31,10 +32,13 @@ from divaloha import (
     draw_frame,
     estimate_point,
     frame_rng,
+    interference_budget,
     interference_distribution,
     per_copy_interference,
     per_copy_interference_brute,
     point_seed,
+    snir_at,
+    spectral_rate,
     sweep,
 )
 from divaloha import analytic, harness, simulator
@@ -1609,50 +1613,108 @@ class TestOnePreFlight:
 
 _INT_CONFIG = SystemConfig(1000, 10)
 _INT_PMF = interference_distribution(_INT_CONFIG, 1)
+# per-copy interference of three packets, two of them lost at budget 5
+_INT_INTERFERENCE = np.array([[0, 9], [9, 9], [6, 7]])
+
+
+def _warm_stream():
+    # a stream that holds the block of frames 0..1364 of seed 7 at n_tx 3
+    stream = frame_rng(7, 0)
+    draw_frame(stream, 3, _INT_CONFIG)
+    return stream
+
 
 # each call with one integer argument in turn, by name: the call, as
-# comparable values, and the int that argument takes
+# comparable values, the int that argument takes, and its least value
+# (None where any int is taken, or where a low one is refused in words of
+# its own); a "-warm" call asks a frame of the block its stream holds
 _INT_ARGUMENTS = {
     "draw_frame-n_tx": (
-        lambda v: draw_frame(frame_rng(7, 5), v, _INT_CONFIG).starts.tobytes(), 3
+        lambda v: draw_frame(frame_rng(7, 5), v, _INT_CONFIG).starts.tobytes(), 3, 0
+    ),
+    "draw_frame-n_tx-warm": (
+        lambda v: draw_frame(
+            frame_rng(7, 5, _warm_stream()), v, _INT_CONFIG
+        ).starts.tobytes(),
+        3,
+        0,
     ),
     "frame_rng-seed": (
-        lambda v: draw_frame(frame_rng(v, 5), 3, _INT_CONFIG).starts.tobytes(), 7
+        lambda v: draw_frame(frame_rng(v, 5), 3, _INT_CONFIG).starts.tobytes(),
+        7,
+        None,
+    ),
+    "frame_rng-seed-warm": (
+        lambda v: draw_frame(
+            frame_rng(v, 5, _warm_stream()), 3, _INT_CONFIG
+        ).starts.tobytes(),
+        7,
+        None,
     ),
     "frame_rng-frame_index": (
-        lambda v: draw_frame(frame_rng(7, v), 3, _INT_CONFIG).starts.tobytes(), 5
+        lambda v: draw_frame(frame_rng(7, v), 3, _INT_CONFIG).starts.tobytes(),
+        5,
+        None,
+    ),
+    "frame_rng-frame_index-warm": (
+        lambda v: draw_frame(
+            frame_rng(7, v, _warm_stream()), 3, _INT_CONFIG
+        ).starts.tobytes(),
+        5,
+        None,
+    ),
+    "decode_frame-copies": (
+        lambda v: decode_frame(_INT_INTERFERENCE, DecodeBudget(5), v), 2, None
     ),
     "estimate_point-rounds": (
-        lambda v: estimate_point(_INT_CONFIG, LINK_10DB, 0.5, v, 1), 10
+        lambda v: estimate_point(_INT_CONFIG, LINK_10DB, 0.5, v, 1), 10, 1
     ),
     "estimate_point-workers": (
-        lambda v: estimate_point(_INT_CONFIG, LINK_10DB, 0.5, 10, 1, workers=v), 1
+        lambda v: estimate_point(_INT_CONFIG, LINK_10DB, 0.5, 10, 1, workers=v), 1, 1
     ),
     "interference_distribution-n_dp": (
-        lambda v: interference_distribution(_INT_CONFIG, v).probs.tobytes(), 2
+        lambda v: interference_distribution(_INT_CONFIG, v).probs.tobytes(), 2, 0
     ),
     "interference_distribution-trunc_len": (
-        lambda v: interference_distribution(_INT_CONFIG, 2, v).probs.tobytes(), 5
+        lambda v: interference_distribution(_INT_CONFIG, 2, v).probs.tobytes(), 5, 0
     ),
     "convolve-trunc_len": (
-        lambda v: convolve(_INT_PMF, _INT_PMF, v).probs.tobytes(), 3
+        lambda v: convolve(_INT_PMF, _INT_PMF, v).probs.tobytes(), 3, 0
     ),
-    "point_seed-master_seed": (lambda v: point_seed(v, 0), 1),
-    "point_seed-point_index": (lambda v: point_seed(1, v), 2),
+    # repr tells a stored numpy integer from the int it equals
+    "InterferencePmf-dp_count": (
+        lambda v: repr(InterferencePmf(_INT_CONFIG, v, _INT_PMF.probs).dp_count), 1, 0
+    ),
+    "point_seed-master_seed": (lambda v: point_seed(v, 0), 1, 0),
+    "point_seed-point_index": (lambda v: point_seed(1, v), 2, None),
+    "spectral_rate-modulation_order": (lambda v: spectral_rate(v, 0.5), 4, 2),
+    "snir_at-burst_len": (lambda v: snir_at(500, v, 10.0), 1000, 1),
+    "snir_at-x_symbols": (lambda v: snir_at(v, 1000, 10.0), 500, 0),
+    "interference_budget-burst_len": (
+        lambda v: interference_budget(v, 10.0, 1.0), 1000, 1
+    ),
 }
 
 
 @pytest.mark.parametrize("argument", sorted(_INT_ARGUMENTS))
 def test_integer_arguments_follow_the_one_rule(argument):
     # a numpy integer acts as the equal int, to the frame bytes; a bool,
-    # float or str is refused, as SystemConfig and DecodeBudget refuse them
-    call, value = _INT_ARGUMENTS[argument]
+    # float or str is refused, as SystemConfig and DecodeBudget refuse them,
+    # and so is an int below the argument's least value
+    call, value, least = _INT_ARGUMENTS[argument]
     want = call(value)
     for kind in (np.int64, np.uint16):
         assert call(kind(value)) == want
     for bad in (True, float(value), np.float64(value), str(value)):
         with pytest.raises(InvalidParameterError, match="must be an int, got"):
             call(bad)
+    if least is not None:
+        with pytest.raises(InvalidParameterError) as refused:
+            call(least - 1)
+        name, _, rest = str(refused.value).partition(" must be ")
+        # the message spells a name such as master_seed as "master seed"
+        assert name.replace(" ", "_") == argument.split("-")[1]
+        assert rest == f">= {least}, got {least - 1}"
 
 
 def test_import_leaves_process_pool_out():
