@@ -193,10 +193,10 @@ def frame_rng(
 
 def point_seed(master_seed: int, point_index: int) -> int:
     """Per-point seed for sweeps, derived so duplicate grid loads still get
-    distinct streams. A master seed or point index that is not an int, or a
-    negative master seed, raises InvalidParameterError."""
+    distinct streams. A master seed or point index that is not an int, or
+    is negative, raises InvalidParameterError."""
     master_seed = as_int(master_seed, "master seed", 0)
-    point_index = as_int(point_index, "point index")
+    point_index = as_int(point_index, "point index", 0)
     ss = np.random.SeedSequence([master_seed, point_index])
     return int(ss.generate_state(1, np.uint64)[0])
 

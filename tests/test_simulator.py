@@ -1686,7 +1686,7 @@ _INT_ARGUMENTS = {
         lambda v: repr(InterferencePmf(_INT_CONFIG, v, _INT_PMF.probs).dp_count), 1, 0
     ),
     "point_seed-master_seed": (lambda v: point_seed(v, 0), 1, 0),
-    "point_seed-point_index": (lambda v: point_seed(1, v), 2, None),
+    "point_seed-point_index": (lambda v: point_seed(1, v), 2, 0),
     "spectral_rate-modulation_order": (lambda v: spectral_rate(v, 0.5), 4, 2),
     "snir_at-burst_len": (lambda v: snir_at(500, v, 10.0), 1000, 1),
     "snir_at-x_symbols": (lambda v: snir_at(v, 1000, 10.0), 500, 0),
