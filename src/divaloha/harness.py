@@ -21,7 +21,7 @@ import os
 import platform
 import sys
 import time
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
 
 import numpy as np
 
@@ -67,25 +67,34 @@ _AUTO_TIGHT_RATIO = 100.0
 MAX_LOADS = 1 << 16
 
 
-# Every option but --config, declared once: its default (None for none) and
-# its help. A config file takes the same names, with '_' for '-'.
+# Every option but --config, declared once: the RunSpec field it fills, its
+# default (None for none), its help and, for a number, its kind and least
+# value (None for any), in the order parse_spec reads the numbers. A config
+# file takes the same names, with '_' for '-'. The least values of --rounds,
+# --seed and --workers are refused here, before compare's analytic fold
+# runs; geometry and link values are refused by SystemConfig and LinkModel.
 _OPTIONS = {
-    "tf": (None, "frame length (symbols, or e.g. '100000us')"),
-    "tau": (None, "burst length (symbols, or e.g. '1000us')"),
-    "ts": ("1", "symbol time in microseconds"),
-    "copies": ("2", "copies per packet"),
-    "mod": ("4", "modulation order"),
-    "rate": ("0.5", "code rate"),
-    "snr_db": ("10", "burst SNR in dB"),
-    "snir_dec_db": (None, "decoder SNIR threshold override in dB"),
-    "loads": (None, "normalized load grid: start:stop:step or comma list"),
-    "rounds": ("10000", "simulated frames per load"),
-    "seed": ("1", "master seed"),
-    "workers": ("1", "process count"),
-    "policy": (None, "compare policy, tight or lower-bound (default: by frame/burst ratio)"),
-    "format": ("csv", "output format, csv or json"),
-    "out": (None, "output path (default: stdout)"),
+    "tf": ("frame_len", None, "frame length (symbols, or e.g. '100000us')"),
+    "tau": ("burst_len", None, "burst length (symbols, or e.g. '1000us')"),
+    "ts": ("symbol_time_us", "1", "symbol time in microseconds"),
+    "copies": ("copies", "2", "copies per packet", int, None),
+    "mod": ("modulation_order", "4", "modulation order", int, None),
+    "rate": ("code_rate", "0.5", "code rate", float, None),
+    "snr_db": ("snr_db", "10", "burst SNR in dB", float, None),
+    "snir_dec_db": ("snir_dec_db", None, "decoder SNIR threshold override in dB", float, None),
+    "loads": ("loads", None, "normalized load grid: start:stop:step or comma list"),
+    "rounds": ("rounds", "10000", "simulated frames per load", int, 1),
+    "seed": ("seed", "1", "master seed", int, 0),
+    "workers": ("workers", "1", "process count", int, 1),
+    "policy": ("policy", None, "compare policy, tight or lower-bound (default: by frame/burst ratio)"),
+    "format": ("out_format", "csv", "output format, csv or json"),
+    "out": ("out_path", None, "output path (default: stdout)"),
 }
+
+
+def _flag(dest: str) -> str:
+    """The command-line flag of the _OPTIONS entry ``dest``."""
+    return "--" + dest.replace("_", "-")
 
 
 class UsageError(DivalohaError):
@@ -232,10 +241,10 @@ def _build_parser() -> argparse.ArgumentParser:
     )
     parser.add_argument("mode", choices=_MODES, help="what to run")
     parser.add_argument("--config", help="JSON file preloading any option below")
-    for dest, (default, text) in _OPTIONS.items():
+    for dest, (_, default, text, *_) in _OPTIONS.items():
         if default is not None:
             text = f"{text} (default {default})"
-        parser.add_argument("--" + dest.replace("_", "-"), help=text)
+        parser.add_argument(_flag(dest), help=text)
     return parser
 
 
@@ -292,7 +301,7 @@ def parse_spec(argv) -> RunSpec:
             return cli
         if dest in from_file and from_file[dest] is not None:
             return from_file[dest]
-        return _OPTIONS[dest][0]
+        return _OPTIONS[dest][1]
 
     mode = ns.mode
     # symbol time in microseconds; a 'us' suffix is allowed and redundant
@@ -319,18 +328,12 @@ def parse_spec(argv) -> RunSpec:
             raise UsageError(f"--loads is required for {mode}")
         loads = _parse_loads(loads_raw)
 
-    # geometry and link values are refused by SystemConfig and LinkModel
-    copies = _number(pick("copies"), "--copies", int)
-    modulation_order = _number(pick("mod"), "--mod", int)
-    code_rate = _number(pick("rate"), "--rate")
-    snr_db = _number(pick("snr_db"), "--snr-db")
-    snir_raw = pick("snir_dec_db")
-    snir_dec_db = None if snir_raw is None else _number(snir_raw, "--snir-dec-db")
-
-    # refused here, before compare's analytic fold runs
-    rounds = _number(pick("rounds"), "--rounds", int, 1)
-    seed = _number(pick("seed"), "--seed", int, 0)
-    workers = _number(pick("workers"), "--workers", int, 1)
+    # each number by its _OPTIONS kind and least value, in table order
+    numbers = {}
+    for dest, (field, _, _, *rule) in _OPTIONS.items():
+        if rule:
+            raw = pick(dest)
+            numbers[field] = None if raw is None else _number(raw, _flag(dest), *rule)
 
     policy = pick("policy")
     if policy is not None and policy not in _POLICIES:
@@ -346,19 +349,12 @@ def parse_spec(argv) -> RunSpec:
         mode=mode,
         frame_len=frame_len,
         burst_len=burst_len,
-        copies=copies,
         symbol_time_us=ts_us,
-        modulation_order=modulation_order,
-        code_rate=code_rate,
-        snr_db=snr_db,
-        snir_dec_db=snir_dec_db,
         loads=loads,
-        rounds=rounds,
-        seed=seed,
-        workers=workers,
         policy=policy,
         out_format=out_format,
         out_path=out_path,
+        **numbers,
     )
 
 
@@ -445,26 +441,20 @@ def render_csv(rows: list[dict]) -> str:
 
 
 def _metadata(spec: RunSpec, policy: str | None, wall_time_s: float) -> dict:
+    """The spec's fields but where the output goes, and what the run derived:
+    the policy applied (None but for compare), the link's decode threshold,
+    rate and budget, the RNG and the versions, and the wall time."""
     link = spec.link_model()
+    fields = asdict(spec)
+    del fields["out_format"], fields["out_path"]
     return {
         "tool": "divaloha",
         "version": __version__,
-        "mode": spec.mode,
+        **fields,
         "policy": policy,
-        "frame_len": spec.frame_len,
-        "burst_len": spec.burst_len,
-        "copies": spec.copies,
-        "symbol_time_us": spec.symbol_time_us,
-        "modulation_order": spec.modulation_order,
-        "code_rate": spec.code_rate,
-        "rate": link.rate,
-        "snr_db": spec.snr_db,
         "snir_dec_db": link.snir_dec_db,
+        "rate": link.rate,
         "max_interference": link.budget.max_interference,
-        "loads": list(spec.loads),
-        "rounds": spec.rounds,
-        "seed": spec.seed,
-        "workers": spec.workers,
         "rng_algorithm": RNG_ALGORITHM,
         "rng_stream_rule": RNG_STREAM_RULE,
         "python_version": platform.python_version(),

@@ -10,6 +10,7 @@ collider of the summed overlap, so a single symbol budget captures it.
 from __future__ import annotations
 
 import math
+import operator
 from dataclasses import dataclass
 from fractions import Fraction
 
@@ -145,7 +146,8 @@ class LinkModel:
         burst_len: int,
         snir_dec_db: float | None = None,
     ) -> LinkModel:
-        """Build the link for a given burst length.
+        """Build the link for a given burst length. ``modulation_order`` is
+        stored as the int it equals, as ``spectral_rate`` takes it.
 
         ``snir_dec_db`` overrides the capacity-bound threshold when a real
         decoder with implementation margin is being modeled.
@@ -158,7 +160,7 @@ class LinkModel:
         snr_linear = _db_to_linear(snr_db)
         budget = interference_budget(burst_len, snr_linear, snir_dec_linear)
         return cls(
-            modulation_order=modulation_order,
+            modulation_order=operator.index(modulation_order),
             code_rate=code_rate,
             rate=rate,
             snr_linear=snr_linear,

@@ -480,8 +480,8 @@ def decode_frame(
     ``interference`` must be an (n_packets, copies) array, as
     per_copy_interference returns; any other shape raises
     InvalidParameterError rather than being regrouped, and so does a
-    ``copies`` that is not an int (a numpy integer acts as the equal int;
-    a plain int passes one type test).
+    ``copies`` that is not an int of at least 1 (a numpy integer acts as
+    the equal int; a plain int passes one type test and one compare).
 
     A packet is lost exactly when its least-interfered copy exceeds the
     budget. The least interference is a running minimum over the copy
@@ -498,8 +498,8 @@ def decode_frame(
     int64 range, as ``--snir-dec-db -300`` gives, is compared as the
     Python int it is, so the count is the same either way.
     """
-    if type(copies) is not int:
-        copies = as_int(copies, "copies")
+    if type(copies) is not int or copies < 1:
+        copies = as_int(copies, "copies", 1)
     try:
         n_packets, columns = interference.shape
     except (AttributeError, ValueError):

@@ -3,6 +3,7 @@ formats, policies and exit codes."""
 
 import contextlib
 import csv
+import dataclasses
 import io
 import json
 import os
@@ -350,6 +351,35 @@ class TestMain:
         assert set(row) == set(CSV_COLUMNS)
         assert row["plr_analytic"] is None
         assert isinstance(row["plr_sim"], float)
+
+    def test_options_fill_the_spec_and_json_metadata_echoes_it(self, tmp_path):
+        # every option but --config fills one RunSpec field, mode being the
+        # positional; a JSON run's metadata is the spec less where the output
+        # goes, with the policy applied and the link's threshold in place of
+        # the spec's (None here), plus what the run derived
+        fields = [field.name for field in dataclasses.fields(RunSpec)]
+        assert sorted(row[0] for row in harness._OPTIONS.values()) == sorted(fields[1:])
+        out = tmp_path / "run.json"
+        argv = ["compare", "--tf", "10000", "--tau", "100", "--loads", "0.5,1",
+                "--rounds", "40", "--format", "json", "--out", str(out)]
+        spec = parse_spec(argv)
+        assert main(argv) == EXIT_OK
+        meta = json.loads(out.read_text())["metadata"]
+        derived = {
+            "tool", "version", "rate", "max_interference", "rng_algorithm",
+            "rng_stream_rule", "python_version", "numpy_version", "wall_time_s",
+        }
+        assert set(meta) == set(fields) - {"out_format", "out_path"} | derived
+        link = spec.link_model()
+        echoed = {name: getattr(spec, name) for name in fields if name in meta}
+        echoed.update(
+            loads=list(spec.loads), policy=resolve_policy(spec),
+            snir_dec_db=link.snir_dec_db, rate=link.rate,
+            max_interference=link.budget.max_interference,
+        )
+        assert (spec.policy, spec.snir_dec_db) == (None, None)
+        assert {name: meta[name] for name in echoed} == echoed
+        assert (meta["policy"], meta["snir_dec_db"]) == ("tight", 0.0)
 
     def test_threshold_output(self, capsys):
         code = main(["threshold", "--tau", "1000"])

@@ -1664,7 +1664,7 @@ _INT_ARGUMENTS = {
         None,
     ),
     "decode_frame-copies": (
-        lambda v: decode_frame(_INT_INTERFERENCE, DecodeBudget(5), v), 2, None
+        lambda v: decode_frame(_INT_INTERFERENCE, DecodeBudget(5), v), 2, 1
     ),
     "estimate_point-rounds": (
         lambda v: estimate_point(_INT_CONFIG, LINK_10DB, 0.5, v, 1), 10, 1
@@ -1684,6 +1684,9 @@ _INT_ARGUMENTS = {
     # repr tells a stored numpy integer from the int it equals
     "InterferencePmf-dp_count": (
         lambda v: repr(InterferencePmf(_INT_CONFIG, v, _INT_PMF.probs).dp_count), 1, 0
+    ),
+    "LinkModel-modulation_order": (
+        lambda v: repr(LinkModel.from_parameters(v, 0.5, 10.0, 100).modulation_order), 4, 2
     ),
     "point_seed-master_seed": (lambda v: point_seed(v, 0), 1, 0),
     "point_seed-point_index": (lambda v: point_seed(1, v), 2, 0),
