@@ -21,7 +21,7 @@ import os
 import platform
 import sys
 import time
-from dataclasses import asdict, dataclass
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -445,7 +445,9 @@ def _metadata(spec: RunSpec, policy: str | None, wall_time_s: float) -> dict:
     the policy applied (None but for compare), the link's decode threshold,
     rate and budget, the RNG and the versions, and the wall time."""
     link = spec.link_model()
-    fields = asdict(spec)
+    # a shallow copy: every field is immutable, and asdict's deep copy
+    # costs more than the rest of the metadata
+    fields = dict(vars(spec))
     del fields["out_format"], fields["out_path"]
     return {
         "tool": "divaloha",
