@@ -67,36 +67,6 @@ _AUTO_TIGHT_RATIO = 100.0
 MAX_LOADS = 1 << 16
 
 
-# Every option but --config, declared once: the RunSpec field it fills, its
-# default (None for none), its help and, for a number, its kind and least
-# value (None for any), in the order parse_spec reads the numbers. A config
-# file takes the same names, with '_' for '-'. The least values of --rounds,
-# --seed and --workers are refused here, before compare's analytic fold
-# runs; geometry and link values are refused by SystemConfig and LinkModel.
-_OPTIONS = {
-    "tf": ("frame_len", None, "frame length (symbols, or e.g. '100000us')"),
-    "tau": ("burst_len", None, "burst length (symbols, or e.g. '1000us')"),
-    "ts": ("symbol_time_us", "1", "symbol time in microseconds"),
-    "copies": ("copies", "2", "copies per packet", int, None),
-    "mod": ("modulation_order", "4", "modulation order", int, None),
-    "rate": ("code_rate", "0.5", "code rate", float, None),
-    "snr_db": ("snr_db", "10", "burst SNR in dB", float, None),
-    "snir_dec_db": ("snir_dec_db", None, "decoder SNIR threshold override in dB", float, None),
-    "loads": ("loads", None, "normalized load grid: start:stop:step or comma list"),
-    "rounds": ("rounds", "10000", "simulated frames per load", int, 1),
-    "seed": ("seed", "1", "master seed", int, 0),
-    "workers": ("workers", "1", "process count", int, 1),
-    "policy": ("policy", None, "compare policy, tight or lower-bound (default: by frame/burst ratio)"),
-    "format": ("out_format", "csv", "output format, csv or json"),
-    "out": ("out_path", None, "output path (default: stdout)"),
-}
-
-
-def _flag(dest: str) -> str:
-    """The command-line flag of the _OPTIONS entry ``dest``."""
-    return "--" + dest.replace("_", "-")
-
-
 class UsageError(DivalohaError):
     """Bad flags or an inconsistent run specification."""
 
@@ -147,15 +117,23 @@ class RunSpec:
         )
 
 
-def _number(value, flag: str, kind=float, minimum=None, given=None):
+def _shown(value) -> str:
+    """``value`` as a refusal line shows it: text as Python quotes it
+    (``'1e1x'``), and any other value of a config file as JSON writes it
+    (``true``, ``{"a": 1}``, ``[0.1, true]``)."""
+    return repr(value) if isinstance(value, str) else json.dumps(value)
+
+
+def _number(value, flag: str, fields=None, kind=float, minimum=None, given=None):
     """``value`` (a flag's text or a config file's value) as ``kind``, int
     or float, at least ``minimum`` if one is given. A value that is not one
-    is refused quoting ``given``, the text as the user gave it (default
+    is refused showing ``given``, the value as the user gave it (default
     ``value``). So is a config file's JSON boolean. An int takes an int, or
     a float that is whole, such as ``1e4``, as the int it equals; a flag's
     text is read as JSON reads that number, an int literal or else a float,
     so ``--rounds 1e2`` and ``{"rounds": 1e2}`` agree, and a fraction, an
-    infinity or a NaN is refused from either."""
+    infinity or a NaN is refused from either. ``fields`` is not read: it
+    is there so that _number is the _OPTIONS reader of a number."""
     shown = value if given is None else given
     try:
         if isinstance(value, bool):
@@ -169,29 +147,43 @@ def _number(value, flag: str, kind=float, minimum=None, given=None):
             raise ValueError(value)
         out = kind(value)
     except (TypeError, ValueError, OverflowError):
-        raise UsageError(f"cannot parse {flag} value {shown!r}") from None
+        raise UsageError(f"cannot parse {flag} value {_shown(shown)}") from None
     if minimum is not None and out < minimum:
         raise UsageError(f"{flag} must be >= {minimum}, got {out}")
     return out
 
 
-def _duration_to_symbols(text: str, ts_us: float, flag: str) -> int:
+def _one_of(value, flag: str, fields: dict, choices: tuple[str, ...]) -> str:
+    """``value`` if it is one of ``choices``."""
+    if value not in choices:
+        raise UsageError(f"{flag} must be one of {choices}, got {_shown(value)}")
+    return value
+
+
+def _symbol_time(value, flag: str, fields: dict) -> float:
+    """The symbol time in microseconds; a 'us' suffix is allowed and redundant."""
+    ts_us = _number(str(value).removesuffix("us"), flag, given=value)
+    if not 0 < ts_us < math.inf:
+        raise UsageError(f"symbol time must be finite and > 0, got {_shown(value)}")
+    return ts_us
+
+
+def _duration(value, flag: str, fields: dict) -> int:
     """A bare number is a symbol count; with a 'us' suffix it is a duration
     converted through the symbol time and must land on a whole symbol."""
-    value = _number(text.removesuffix("us"), flag, given=text)
+    text = str(value)
+    symbols = _number(text.removesuffix("us"), flag, given=value)
     if text.endswith("us"):
-        value /= ts_us
-    if not math.isfinite(value):
-        raise UsageError(f"{flag} must be finite, got {text!r}")
-    rounded = round(value)
-    if abs(value - rounded) > 1e-9 * max(1.0, abs(value)):
-        raise UsageError(
-            f"{flag} = {text!r} is {value} symbols, not a whole number"
-        )
+        symbols /= fields["symbol_time_us"]
+    if not math.isfinite(symbols):
+        raise UsageError(f"{flag} must be finite, got {_shown(value)}")
+    rounded = round(symbols)
+    if abs(symbols - rounded) > 1e-9 * max(1.0, abs(symbols)):
+        raise UsageError(f"{flag} = {_shown(value)} is {symbols} symbols, not a whole number")
     return int(rounded)
 
 
-def _parse_loads(value) -> tuple[float, ...]:
+def _parse_loads(value, flag: str = "--loads", fields=None) -> tuple[float, ...]:
     """Comma list, single value, or start:stop:step grid (stop inclusive).
 
     Only the form is checked here: a grid must be finite to be counted,
@@ -204,21 +196,21 @@ def _parse_loads(value) -> tuple[float, ...]:
         grid = ":" in text
         parts = text.split(":" if grid else ",")
         if grid and len(parts) != 3:
-            raise UsageError(f"load grid must be start:stop:step, got {text!r}")
-    items = [_number(v, "--loads", given=value) for v in parts]
+            raise UsageError(f"load grid must be start:stop:step, got {_shown(value)}")
+    items = [_number(v, flag, given=value) for v in parts]
     if grid:
         start, stop, step = items
         if not all(math.isfinite(v) for v in items):
-            raise UsageError(f"load grid {text!r} must be finite")
+            raise UsageError(f"load grid {_shown(value)} must be finite")
         if step <= 0:
             raise UsageError(f"load grid step must be > 0, got {step}")
         # points less one, compared before any conversion to int: it
         # may overflow to infinity, or ask for more loads than the bound
         span = (stop - start) / step + 1e-9
         if span < 0:
-            raise UsageError(f"load grid {text!r} is empty")
+            raise UsageError(f"load grid {_shown(value)} is empty")
         if span >= MAX_LOADS:
-            raise UsageError(f"load grid {text!r} has more than {MAX_LOADS} loads")
+            raise UsageError(f"load grid {_shown(value)} has more than {MAX_LOADS} loads")
         # round off the accumulated step error so 0.1:1.5:0.1 gives 0.3, not 0.30000000000000004
         items = [round(start + i * step, 10) for i in range(int(span) + 1)]
     if not items:
@@ -226,6 +218,54 @@ def _parse_loads(value) -> tuple[float, ...]:
     if len(items) > MAX_LOADS:
         raise UsageError(f"{len(items)} loads is over the bound of {MAX_LOADS}")
     return tuple(items)
+
+
+def _path(value, flag: str, fields: dict) -> str:
+    """``value`` if it is text: a config file's ``{"out": 1}`` would
+    otherwise be opened as file descriptor 1."""
+    if not isinstance(value, str):
+        raise UsageError(f"{flag} must be a path, got {_shown(value)}")
+    return value
+
+
+_FORMATS = ("csv", "json")
+
+# Every option but --config, declared once, in the order parse_spec reads
+# it and so the order its refusals follow: the RunSpec field it fills, its
+# default (None for none), its help, its reader and the reader's further
+# arguments: a number's kind and least value (None for any), or a choice's
+# values. A reader takes the value, the flag and the fields read before it
+# (a duration converts through the symbol time), and returns the field or
+# refuses the value. A config file takes the same names, with '_' for '-'.
+# The least values of --rounds, --seed and --workers are refused here,
+# before compare's analytic fold runs; geometry and link values are refused
+# by SystemConfig and LinkModel.
+_OPTIONS = {
+    "ts": ("symbol_time_us", "1", "symbol time in microseconds", _symbol_time),
+    "tau": ("burst_len", None, "burst length (symbols, or e.g. '1000us')", _duration),
+    "tf": ("frame_len", None, "frame length (symbols, or e.g. '100000us')", _duration),
+    "loads": ("loads", None, "normalized load grid: start:stop:step or comma list", _parse_loads),
+    "copies": ("copies", "2", "copies per packet", _number, int),
+    "mod": ("modulation_order", "4", "modulation order", _number, int),
+    "rate": ("code_rate", "0.5", "code rate", _number, float),
+    "snr_db": ("snr_db", "10", "burst SNR in dB", _number, float),
+    "snir_dec_db": ("snir_dec_db", None, "decoder SNIR threshold override in dB", _number, float),
+    "rounds": ("rounds", "10000", "simulated frames per load", _number, int, 1),
+    "seed": ("seed", "1", "master seed", _number, int, 0),
+    "workers": ("workers", "1", "process count", _number, int, 1),
+    "policy": (
+        "policy", None,
+        f"compare policy, {' or '.join(_POLICIES)} (default: by frame/burst ratio)",
+        _one_of, _POLICIES,
+    ),
+    "format": ("out_format", "csv", f"output format, {' or '.join(_FORMATS)}", _one_of, _FORMATS),
+    "out": ("out_path", None, "output path (default: stdout)", _path),
+}
+
+
+def _flag(dest: str) -> str:
+    """The command-line flag of the _OPTIONS entry ``dest``."""
+    return "--" + dest.replace("_", "-")
 
 
 @functools.cache
@@ -287,75 +327,29 @@ def _load_config_file(path: str) -> dict:
 
 
 def parse_spec(argv) -> RunSpec:
-    """Resolve argv (plus any config file) into a RunSpec.
+    """Resolve argv (plus any config file) into a RunSpec, reading each
+    option through its _OPTIONS row in table order.
 
     Precedence: command line, then config file, then built-in defaults.
     """
     argv = sys.argv[1:] if argv is None else argv
     ns = _build_parser().parse_args(_attach_dash_values(argv))
     from_file = _load_config_file(ns.config) if ns.config else {}
-
-    def pick(dest: str):
-        cli = getattr(ns, dest)
-        if cli is not None:
-            return cli
-        if dest in from_file and from_file[dest] is not None:
-            return from_file[dest]
-        return _OPTIONS[dest][1]
-
     mode = ns.mode
-    # symbol time in microseconds; a 'us' suffix is allowed and redundant
-    ts_text = str(pick("ts"))
-    ts_us = _number(ts_text.removesuffix("us"), "--ts", given=ts_text)
-    if not 0 < ts_us < math.inf:
-        raise UsageError(f"symbol time must be finite and > 0, got {ts_text!r}")
-
-    tau_raw = pick("tau")
-    if tau_raw is None:
-        raise UsageError("--tau is required")
-    burst_len = _duration_to_symbols(str(tau_raw), ts_us, "--tau")
-
     # threshold reports the link alone, so it reads neither frame nor loads
-    if mode == "threshold":
-        frame_len, loads = None, ()
-    else:
-        tf_raw = pick("tf")
-        if tf_raw is None:
-            raise UsageError(f"--tf is required for {mode}")
-        frame_len = _duration_to_symbols(str(tf_raw), ts_us, "--tf")
-        loads_raw = pick("loads")
-        if loads_raw is None:
-            raise UsageError(f"--loads is required for {mode}")
-        loads = _parse_loads(loads_raw)
-
-    # each number by its _OPTIONS kind and least value, in table order
-    numbers = {}
-    for dest, (field, _, _, *rule) in _OPTIONS.items():
-        if rule:
-            raw = pick(dest)
-            numbers[field] = None if raw is None else _number(raw, _flag(dest), *rule)
-
-    policy = pick("policy")
-    if policy is not None and policy not in _POLICIES:
-        raise UsageError(f"--policy must be one of {_POLICIES}, got {policy!r}")
-    out_format = pick("format")
-    if out_format not in ("csv", "json"):
-        raise UsageError(f"--format must be csv or json, got {out_format!r}")
-    out_path = pick("out")
-    if out_path is not None and not isinstance(out_path, str):
-        raise UsageError(f"--out must be a path, got {out_path!r}")
-
-    return RunSpec(
-        mode=mode,
-        frame_len=frame_len,
-        burst_len=burst_len,
-        symbol_time_us=ts_us,
-        loads=loads,
-        policy=policy,
-        out_format=out_format,
-        out_path=out_path,
-        **numbers,
-    )
+    fields = {"mode": mode, "frame_len": None, "loads": ()}
+    for dest, (field, default, _, read, *args) in _OPTIONS.items():
+        if mode == "threshold" and dest in ("tf", "loads"):
+            continue
+        value = getattr(ns, dest)
+        if value is None:
+            value = default if from_file.get(dest) is None else from_file[dest]
+        if value is None and dest == "tau":
+            raise UsageError("--tau is required")
+        if value is None and dest in ("tf", "loads"):
+            raise UsageError(f"{_flag(dest)} is required for {mode}")
+        fields[field] = None if value is None else read(value, _flag(dest), fields, *args)
+    return RunSpec(**fields)
 
 
 def resolve_policy(spec: RunSpec) -> str:

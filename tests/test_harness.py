@@ -5,6 +5,7 @@ import contextlib
 import csv
 import dataclasses
 import io
+import itertools
 import json
 import os
 import subprocess
@@ -228,6 +229,36 @@ class TestParseSpec:
         with pytest.raises(UsageError):
             spec_of(["analytic", "--config", "/no/such/file.json"])
 
+    @pytest.mark.parametrize("source", ["argv", "config"])
+    def test_refusal_names_the_bad_option_earliest_in_the_table(self, source, tmp_path):
+        # every ordered pair of bad options is refused for the one that
+        # comes first in _OPTIONS; any --out text is a path, so out is bad
+        # only as a config file's value
+        assert list(harness._OPTIONS) == [
+            "ts", "tau", "tf", "loads", "copies", "mod", "rate", "snr_db", "snir_dec_db",
+            "rounds", "seed", "workers", "policy", "format", "out",
+        ]
+        dests = [dest for dest in harness._OPTIONS if source == "config" or dest != "out"]
+
+        def refusal(*bad):
+            given = {"tf": "1000", "tau": "10", "loads": "0.5"}
+            given.update(dict.fromkeys(bad, "x" if source == "argv" else True))
+            if source == "argv":
+                argv = [f"--{dest.replace('_', '-')}={value}" for dest, value in given.items()]
+            else:
+                cfg = tmp_path / "run.json"
+                cfg.write_text(json.dumps(given))
+                argv = [f"--config={cfg}"]
+            with pytest.raises(UsageError) as info:
+                parse_spec(["analytic", *argv])
+            return str(info.value)
+
+        alone = {dest: refusal(dest) for dest in dests}
+        for dest, line in alone.items():
+            assert f"--{dest.replace('_', '-')} " in line
+        for first, second in itertools.combinations(dests, 2):
+            assert refusal(first, second) == refusal(second, first) == alone[first]
+
 
 class TestRoundTrip:
     CASES = [
@@ -445,10 +476,12 @@ class TestMain:
             (["compare", "--loads", "-1:1:0.5"], "load must be finite and >= 0, got -1.0"),
             (["analytic", "--loads", "0.5", "--policy", "-x"],
              "--policy must be one of ('tight', 'lower-bound'), got '-x'"),
+            (["analytic", "--loads", "0.5", "--format", "-x"],
+             "--format must be one of ('csv', 'json'), got '-x'"),
             # a token led by -- is a flag, never a value
             (["threshold", "--snr-db", "--tau", "5"], "argument --snr-db: expected one argument"),
         ],
-        ids=["load-list", "load-grid", "policy", "flag-after-flag"],
+        ids=["load-list", "load-grid", "policy", "format", "flag-after-flag"],
     )
     def test_dash_led_token_after_a_flag_is_its_value(self, argv, want, capsys):
         assert main([*argv, "--tf", "10000", "--tau", "100"]) == EXIT_USAGE
@@ -675,6 +708,10 @@ def test_module_help_lists_the_modes_and_options_in_one_usage():
     assert "{analytic,simulate,compare,threshold}" in out.stdout
     for flag in ("--config", *("--" + dest.replace("_", "-") for dest in harness._OPTIONS)):
         assert flag in out.stdout
+    # each row's help, in table order, the order refusals follow
+    words = " ".join(out.stdout.split())
+    at = [words.index(" ".join(row[2].split())) for row in harness._OPTIONS.values()]
+    assert at == sorted(at)
 
 
 def test_module_help_lists_policies_and_formats():
@@ -863,24 +900,24 @@ class TestCliContract:
     @pytest.mark.parametrize(
         "text, what",
         [
-            ('{"loads": ["x"]}', "--loads value ['x']"),
+            ('{"loads": ["x"]}', '--loads value ["x"]'),
             ('{"loads": [0.5], "rounds": [1]}', "--rounds value [1]"),
-            # an int flag given an infinite JSON number
-            ('{"loads": [0.5], "rounds": 1e400}', "--rounds value inf"),
+            # an int flag given an infinite JSON number, shown as JSON writes it
+            ('{"loads": [0.5], "rounds": 1e400}', "--rounds value Infinity"),
             # int flags given JSON numbers that are not whole, as
             # --rounds 2.9 is refused on the command line
             ('{"loads": [0.5], "rounds": 2.9}', "--rounds value 2.9"),
             ('{"loads": [0.5], "seed": 1.5}', "--seed value 1.5"),
             ('{"loads": [0.5], "workers": 1.5}', "--workers value 1.5"),
             # JSON booleans, which int() and float() would read as 1 and 0
-            ('{"loads": [0.5], "copies": true}', "--copies value True"),
-            ('{"loads": [0.5], "rounds": true}', "--rounds value True"),
-            ('{"loads": [0.5], "mod": false}', "--mod value False"),
-            ('{"loads": [0.5], "rate": true}', "--rate value True"),
-            ('{"loads": [0.5], "snr_db": false}', "--snr-db value False"),
-            ('{"loads": [0.5], "snir_dec_db": true}', "--snir-dec-db value True"),
-            ('{"loads": [true]}', "--loads value [True]"),
-            ('{"loads": [0.5], "ts": true}', "--ts value 'True'"),
+            ('{"loads": [0.5], "copies": true}', "--copies value true"),
+            ('{"loads": [0.5], "rounds": true}', "--rounds value true"),
+            ('{"loads": [0.5], "mod": false}', "--mod value false"),
+            ('{"loads": [0.5], "rate": true}', "--rate value true"),
+            ('{"loads": [0.5], "snr_db": false}', "--snr-db value false"),
+            ('{"loads": [0.5], "snir_dec_db": true}', "--snir-dec-db value true"),
+            ('{"loads": [true]}', "--loads value [true]"),
+            ('{"loads": [0.5], "ts": true}', "--ts value true"),
         ],
         ids=[
             "loads-list", "rounds-list", "rounds-inf", "rounds-fraction",
@@ -893,6 +930,38 @@ class TestCliContract:
         cfg = tmp_path / "run.json"
         cfg.write_text(text)
         self.assert_refused(["compare", "--tf=1000", "--tau=5", f"--config={cfg}"], what)
+
+    # one rule for every option kind: a config file's text is quoted as the
+    # command line's is, and any other value is shown as JSON writes it
+    @pytest.mark.parametrize(
+        "entry, line",
+        [
+            ('"tau": true', "cannot parse --tau value true"),
+            ('"rounds": true', "cannot parse --rounds value true"),
+            ('"tf": {"a": 1}', 'cannot parse --tf value {"a": 1}'),
+            ('"loads": [0.1, true]', "cannot parse --loads value [0.1, true]"),
+            ('"policy": true', "--policy must be one of ('tight', 'lower-bound'), got true"),
+            ('"out": ["a"]', '--out must be a path, got ["a"]'),
+            ('"tau": "1e1x"', "cannot parse --tau value '1e1x'"),
+        ],
+        ids=["tau-bool", "rounds-bool", "tf-object", "loads-list", "policy-bool",
+             "out-list", "tau-text"],
+    )
+    def test_config_value_is_shown_as_json_writes_it(self, entry, line, tmp_path):
+        cfg = tmp_path / "run.json"
+        cfg.write_text('{"tf": 1000, "tau": 10, "loads": "0.5", %s}' % entry)
+        code, out, err = self.run_main(["compare", f"--config={cfg}"])
+        assert (code, out, err) == (EXIT_USAGE, "", f"divaloha: {line}\n")
+
+    @pytest.mark.parametrize("dest", ["policy", "format"])
+    def test_choice_refusal_is_one_line_from_argv_or_config(self, dest, tmp_path):
+        cfg = tmp_path / "run.json"
+        cfg.write_text(json.dumps({dest: "-x"}))
+        argv = ["analytic", "--tf=1000", "--tau=10", "--loads=0.5"]
+        want = self.run_main([*argv, f"--{dest}", "-x"])
+        assert want[0] == EXIT_USAGE
+        assert want[2].startswith(f"divaloha: --{dest} must be one of (")
+        assert self.run_main([*argv, f"--config={cfg}"]) == want
 
     def test_whole_config_float_is_the_int_it_equals(self, tmp_path):
         cfg = tmp_path / "run.json"
